@@ -268,7 +268,8 @@ class SearchOutcome:
     candidates:
         Every explored :class:`CandidateEvaluation`, in evaluation order.
     wall_time_s:
-        Wall-clock duration of the run.
+        Wall-clock duration of the run: the strategy plus the
+        front-history pass that builds ``front_history``.
     engine_stats:
         Cache statistics of the evaluation engine that backed the run.
     front_history:

@@ -196,6 +196,7 @@ def _run_mobo(context: SearchContext, label: str) -> Tuple[SearchResult, Optimiz
         feature_fn=context.evaluator.feature_fn,
         objective_fn=context.evaluator.objective_fn,
         batch_objective_fn=context.evaluator.evaluate_pool,
+        pool_features_fn=context.evaluator.pool_features_fn,
         num_objectives=len(OBJECTIVES),
         num_initial=request.num_initial,
         num_iterations=request.num_iterations,
@@ -481,9 +482,10 @@ def run_search(
         context.progress_callback = _on_progress
     start = time.perf_counter()
     result, _raw = execute_strategy(context)
-    elapsed = time.perf_counter() - start
     if recorder is not None:
         recorder.finalize()
+    front_history = _front_history_of(list(result))
+    elapsed = time.perf_counter() - start
     # the context's request records any space folded in by build_context
     return SearchOutcome(
         request=context.request,
@@ -492,6 +494,6 @@ def run_search(
         candidates=tuple(result),
         wall_time_s=elapsed,
         engine_stats=engine.stats.since(stats_before),
-        front_history=_front_history_of(list(result)),
+        front_history=front_history,
         health=health.counters(),
     )

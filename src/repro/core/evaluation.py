@@ -201,6 +201,10 @@ class PartitionAwareEvaluator:
         """Adapter returning the genotype's unit-cube features."""
         return self.search_space.to_features(genotype)
 
+    def pool_features_fn(self, genotypes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Adapter returning a candidate pool's feature matrix in one call."""
+        return self.search_space.to_feature_matrix(genotypes)
+
     def sample_fn(self, rng) -> np.ndarray:
         """Adapter sampling a random valid genotype."""
         return self.search_space.sample(rng)

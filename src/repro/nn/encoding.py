@@ -13,6 +13,7 @@ values.  The encoding serves three consumers:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -80,6 +81,12 @@ class EncodingScheme:
             raise ValueError(f"duplicate gene names: {duplicates}")
         self.genes: Tuple[Gene, ...] = tuple(genes)
         self._index_by_name = {gene.name: i for i, gene in enumerate(self.genes)}
+        # Derived once: sampling, validation, projection and mutation run per
+        # candidate and would otherwise rebuild these from the genes per call.
+        self._cards = np.array([gene.cardinality for gene in self.genes], dtype=int)
+        self._unit_divisor = np.maximum(self._cards - 1.0, 1.0)
+        self._card_list = self._cards.tolist()
+        self._mutable = [i for i, card in enumerate(self._card_list) if card > 1]
 
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
@@ -92,8 +99,8 @@ class EncodingScheme:
 
     @property
     def cardinalities(self) -> np.ndarray:
-        """Per-gene number of choices as an integer array."""
-        return np.array([gene.cardinality for gene in self.genes], dtype=int)
+        """Per-gene number of choices as an integer array (a fresh copy)."""
+        return self._cards.copy()
 
     def total_combinations(self) -> int:
         """Size of the unconstrained Cartesian product of all genes."""
@@ -124,27 +131,35 @@ class EncodingScheme:
             raise ValueError(
                 f"expected an index vector of length {self.num_genes}, got shape {arr.shape}"
             )
-        cards = self.cardinalities
-        if np.any(arr < 0) or np.any(arr >= cards):
-            bad = [
-                f"{gene.name}={idx} (cardinality {gene.cardinality})"
-                for gene, idx in zip(self.genes, arr)
-                if idx < 0 or idx >= gene.cardinality
-            ]
-            raise ValueError(f"gene indices out of range: {', '.join(bad)}")
+        values = arr.tolist()
+        if min(values) < 0 or not all(map(operator.lt, values, self._card_list)):
+            self._raise_out_of_range(arr)
         return arr
 
+    def _raise_out_of_range(self, arr: np.ndarray) -> None:
+        """Raise ``ValueError`` naming every out-of-range gene of ``arr``'s rows."""
+        bad = [
+            f"{gene.name}={idx} (cardinality {gene.cardinality})"
+            for row in arr.reshape(-1, self.num_genes).tolist()
+            for gene, idx in zip(self.genes, row)
+            if idx < 0 or idx >= gene.cardinality
+        ]
+        raise ValueError(f"gene indices out of range: {', '.join(bad)}")
+
     def sample_indices(self, rng: SeedLike = None) -> np.ndarray:
-        """Sample a uniformly random (unconstrained) index vector."""
-        rng = ensure_rng(rng)
-        return np.array(
-            [rng.integers(0, gene.cardinality) for gene in self.genes], dtype=int
-        )
+        """Sample a uniformly random (unconstrained) index vector.
+
+        One vector draw: it yields the same values and leaves the generator
+        in the same state as one scalar ``integers`` draw per gene.
+        """
+        return ensure_rng(rng).integers(0, self._cards)
 
     def values(self, indices: Sequence[int]) -> Dict[str, object]:
         """Map an index vector to a ``{gene name: value}`` dictionary."""
         arr = self.validate_indices(indices)
-        return {gene.name: gene.value(int(idx)) for gene, idx in zip(self.genes, arr)}
+        return {
+            gene.name: gene.choices[idx] for gene, idx in zip(self.genes, arr.tolist())
+        }
 
     def indices_from_values(self, values: Dict[str, object]) -> np.ndarray:
         """Inverse of :meth:`values`; all genes must be present."""
@@ -159,13 +174,19 @@ class EncodingScheme:
     def to_unit(self, indices: Sequence[int]) -> np.ndarray:
         """Project an index vector to the unit cube ``[0, 1]^d``.
 
-        A gene with a single choice maps to 0.5 so it carries no information
-        for the Gaussian-process kernel.
+        An ``(n, num_genes)`` matrix is projected row by row in one call,
+        bitwise equal to projecting each row on its own.  A gene with a
+        single choice maps to 0.5 so it carries no information for the
+        Gaussian-process kernel.
         """
-        arr = self.validate_indices(indices).astype(float)
-        cards = self.cardinalities.astype(float)
-        unit = np.where(cards > 1, arr / np.maximum(cards - 1.0, 1.0), 0.5)
-        return unit
+        arr = np.asarray(indices, dtype=int)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.num_genes:
+            raise ValueError(
+                f"expected index vectors of length {self.num_genes}, got shape {arr.shape}"
+            )
+        if arr.size and (arr.min() < 0 or (arr >= self._cards).any()):
+            self._raise_out_of_range(arr)
+        return np.where(self._cards > 1, arr / self._unit_divisor, 0.5)
 
     def from_unit(self, unit: Sequence[float]) -> np.ndarray:
         """Snap a unit-cube point back onto the nearest valid index vector."""
@@ -174,8 +195,7 @@ class EncodingScheme:
             raise ValueError(
                 f"expected a unit vector of length {self.num_genes}, got shape {arr.shape}"
             )
-        cards = self.cardinalities.astype(float)
-        indices = np.rint(arr * np.maximum(cards - 1.0, 0.0)).astype(int)
+        indices = np.rint(arr * np.maximum(self._cards - 1.0, 0.0)).astype(int)
         return self.validate_indices(indices)
 
     # ------------------------------------------------------------------ neighbourhood
@@ -189,27 +209,27 @@ class EncodingScheme:
 
         Each gene is independently resampled with ``mutation_probability``; at
         least one gene is always changed so the result differs from the input
-        whenever any gene has more than one choice.
+        whenever any gene has more than one choice.  A resampled gene draws
+        uniformly from its other choices: ``j = integers(0, card - 1)``
+        shifted past the current index, which consumes the generator exactly
+        like ``choice`` over the list of other indices.
         """
         rng = ensure_rng(rng)
-        arr = self.validate_indices(indices).copy()
-        mutable = [i for i, gene in enumerate(self.genes) if gene.cardinality > 1]
-        if not mutable:
-            return arr
+        values = self.validate_indices(indices).tolist()
+        if not self._mutable:
+            return np.array(values, dtype=int)
+        cards = self._card_list
         changed = False
-        for i in mutable:
+        for i in self._mutable:
             if rng.random() < mutation_probability:
-                arr[i] = self._resample_gene(arr[i], self.genes[i], rng)
+                j = int(rng.integers(0, cards[i] - 1))
+                values[i] = j + (j >= values[i])
                 changed = True
         if not changed:
-            i = int(rng.choice(mutable))
-            arr[i] = self._resample_gene(arr[i], self.genes[i], rng)
-        return arr
-
-    @staticmethod
-    def _resample_gene(current: int, gene: Gene, rng: np.random.Generator) -> int:
-        options = [i for i in range(gene.cardinality) if i != current]
-        return int(rng.choice(options))
+            i = int(rng.choice(self._mutable))
+            j = int(rng.integers(0, cards[i] - 1))
+            values[i] = j + (j >= values[i])
+        return np.array(values, dtype=int)
 
     def hamming_distance(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Number of genes on which two index vectors differ."""

@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.architecture import Architecture
-from repro.nn.encoding import EncodingScheme, Gene
+from repro.nn.encoding import Gene
 from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D
-from repro.nn.spaces import EncodedSearchSpace
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.nn.spaces import PooledBlockSearchSpace
+from repro.utils.rng import SeedLike
 
 #: Default choices, exactly as given in the paper's Fig. 4 description.
 DEFAULT_LAYERS_PER_BLOCK = (1, 2, 3)
@@ -37,16 +37,16 @@ DEFAULT_NUM_BLOCKS = 5
 DEFAULT_MIN_POOL_LAYERS = 4
 
 
-class LensSearchSpace(EncodedSearchSpace):
+class LensSearchSpace(PooledBlockSearchSpace):
     """VGG-derived search space used by the LENS experiments.
 
     Registered as ``"lens-vgg"`` in :data:`repro.api.registry.SEARCH_SPACES`;
-    the generic sampling/encoding machinery lives in
-    :class:`~repro.nn.spaces.EncodedSearchSpace`, this class only declares
-    the paper's genes, constraints and decoding.  Decoded architectures are
-    plain chains (no skip edges), so every layer boundary is cut-legal and
-    the partitioner's graph-aware enumeration reduces to the paper's
-    linear-chain rule.
+    the generic sampling/encoding machinery, the block genes and the pooling
+    constraint live in :class:`~repro.nn.spaces.PooledBlockSearchSpace`,
+    this class only declares the paper's fully-connected head, its
+    constraint and decoding.  Decoded architectures are plain chains (no
+    skip edges), so every layer boundary is cut-legal and the partitioner's
+    graph-aware enumeration reduces to the paper's linear-chain rule.
 
     Parameters
     ----------
@@ -80,61 +80,43 @@ class LensSearchSpace(EncodedSearchSpace):
         accuracy_input_shape: Tuple[int, int, int] = (3, 32, 32),
         performance_input_shape: Tuple[int, int, int] = (3, 224, 224),
     ):
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-        if min_pool_layers > num_blocks:
-            raise ValueError(
-                f"min_pool_layers ({min_pool_layers}) cannot exceed num_blocks ({num_blocks})"
-            )
-        self.num_blocks = int(num_blocks)
-        self.layers_per_block = tuple(int(v) for v in layers_per_block)
-        self.kernel_sizes = tuple(int(v) for v in kernel_sizes)
-        self.filter_counts = tuple(int(v) for v in filter_counts)
-        self.fc_units = tuple(int(v) for v in fc_units)
-        self.min_pool_layers = int(min_pool_layers)
-        self.num_classes = int(num_classes)
-        self.accuracy_input_shape = tuple(accuracy_input_shape)
-        self.performance_input_shape = tuple(performance_input_shape)
-        self.encoding = self._build_encoding()
+        super().__init__(
+            num_blocks,
+            layers_per_block,
+            kernel_sizes,
+            filter_counts,
+            fc_units,
+            min_pool_layers,
+            num_classes,
+            accuracy_input_shape,
+            performance_input_shape,
+        )
+        self._fc_positions = (
+            self.encoding.gene_position("fc1_present"),
+            self.encoding.gene_position("fc2_present"),
+        )
+        self._fc_on = self.encoding.gene("fc1_present").index_of(True)
 
     # ------------------------------------------------------------------ encoding
-    def _build_encoding(self) -> EncodingScheme:
-        genes: List[Gene] = []
-        for block in range(1, self.num_blocks + 1):
-            genes.append(Gene(f"block{block}_layers", self.layers_per_block))
-            genes.append(Gene(f"block{block}_kernel", self.kernel_sizes))
-            genes.append(Gene(f"block{block}_filters", self.filter_counts))
-            genes.append(Gene(f"block{block}_pool", (False, True)))
-        genes.append(Gene("fc1_present", (False, True)))
-        genes.append(Gene("fc1_units", self.fc_units))
-        genes.append(Gene("fc2_present", (False, True)))
-        genes.append(Gene("fc2_units", self.fc_units))
-        return EncodingScheme(genes)
+    def _head_genes(self) -> List[Gene]:
+        return [
+            Gene("fc1_present", (False, True)),
+            Gene("fc1_units", self.fc_units),
+            Gene("fc2_present", (False, True)),
+            Gene("fc2_units", self.fc_units),
+        ]
 
     # ------------------------------------------------------------------ validity
-    def pool_count(self, indices: Sequence[int]) -> int:
-        """Number of pooling layers encoded by the given genotype."""
-        values = self.encoding.values(indices)
-        return sum(
-            1 for block in range(1, self.num_blocks + 1) if values[f"block{block}_pool"]
-        )
+    def _satisfies(self, values: List[int]) -> bool:
+        """The paper's two constraints on a validated genotype given as a list.
 
-    def is_valid(self, indices: Sequence[int]) -> bool:
-        """Whether the genotype satisfies the search-space constraints.
-
-        The two constraints from the paper are: at least ``min_pool_layers``
-        pooling layers, and at least one of the two fully-connected layers
-        present.
+        At least ``min_pool_layers`` pooling layers, and at least one of the
+        two fully-connected layers present.
         """
-        values = self.encoding.values(indices)
-        pools = sum(
-            1 for block in range(1, self.num_blocks + 1) if values[f"block{block}_pool"]
+        fc1, fc2 = self._fc_positions
+        return super()._satisfies(values) and (
+            values[fc1] == self._fc_on or values[fc2] == self._fc_on
         )
-        if pools < self.min_pool_layers:
-            return False
-        if not (values["fc1_present"] or values["fc2_present"]):
-            return False
-        return True
 
     def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
         """Return a valid genotype obtained by minimally editing ``indices``.
@@ -142,27 +124,10 @@ class LensSearchSpace(EncodedSearchSpace):
         Missing pooling layers are switched on at uniformly random blocks and
         the first fully-connected layer is enabled if neither is present.
         """
-        rng = ensure_rng(rng)
-        arr = self.encoding.validate_indices(indices).copy()
-        values = self.encoding.values(arr)
-
-        pool_positions = [
-            self.encoding.gene_position(f"block{block}_pool")
-            for block in range(1, self.num_blocks + 1)
-        ]
-        pool_gene = self.encoding.gene("block1_pool")
-        on_index = pool_gene.index_of(True)
-        current_pools = [pos for pos in pool_positions if arr[pos] == on_index]
-        missing = self.min_pool_layers - len(current_pools)
-        if missing > 0:
-            off_positions = [pos for pos in pool_positions if arr[pos] != on_index]
-            chosen = rng.choice(len(off_positions), size=missing, replace=False)
-            for choice in np.atleast_1d(chosen):
-                arr[off_positions[int(choice)]] = on_index
-
-        if not (values["fc1_present"] or values["fc2_present"]):
-            fc1_gene = self.encoding.gene("fc1_present")
-            arr[self.encoding.gene_position("fc1_present")] = fc1_gene.index_of(True)
+        arr = super().repair(indices, rng)
+        fc1, fc2 = self._fc_positions
+        if arr[fc1] != self._fc_on and arr[fc2] != self._fc_on:
+            arr[fc1] = self._fc_on
         return arr
 
     # ------------------------------------------------------------------ decoding

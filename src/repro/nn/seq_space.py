@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.nn.architecture import Architecture
-from repro.nn.encoding import EncodingScheme, Gene
+from repro.nn.encoding import Gene
 from repro.nn.layers import Conv1D, Dense, Flatten, LayerSpec, MaxPool1D
-from repro.nn.spaces import EncodedSearchSpace
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.nn.spaces import PooledBlockSearchSpace
 
 #: Default gene choices of the sequence space.
 DEFAULT_LAYERS_PER_BLOCK = (1, 2)
@@ -43,7 +40,7 @@ DEFAULT_MIN_POOL_LAYERS = 3
 DEFAULT_POOL_SIZE = 4
 
 
-class SeqConv1DSearchSpace(EncodedSearchSpace):
+class SeqConv1DSearchSpace(PooledBlockSearchSpace):
     """Sequence-model search space over 1-D convolutional blocks.
 
     Parameters
@@ -78,62 +75,22 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
         accuracy_input_shape: Tuple[int, int] = (6, 256),
         performance_input_shape: Tuple[int, int] = (6, 16000),
     ):
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-        if min_pool_layers > num_blocks:
-            raise ValueError(
-                f"min_pool_layers ({min_pool_layers}) cannot exceed "
-                f"num_blocks ({num_blocks})"
-            )
-        self.num_blocks = int(num_blocks)
-        self.layers_per_block = tuple(int(v) for v in layers_per_block)
-        self.kernel_sizes = tuple(int(v) for v in kernel_sizes)
-        self.filter_counts = tuple(int(v) for v in filter_counts)
-        self.fc_units = tuple(int(v) for v in fc_units)
-        self.min_pool_layers = int(min_pool_layers)
         self.pool_size = int(pool_size)
-        self.num_classes = int(num_classes)
-        self.accuracy_input_shape = tuple(accuracy_input_shape)
-        self.performance_input_shape = tuple(performance_input_shape)
-        self.encoding = self._build_encoding()
+        super().__init__(
+            num_blocks,
+            layers_per_block,
+            kernel_sizes,
+            filter_counts,
+            fc_units,
+            min_pool_layers,
+            num_classes,
+            accuracy_input_shape,
+            performance_input_shape,
+        )
 
     # ------------------------------------------------------------------ encoding
-    def _build_encoding(self) -> EncodingScheme:
-        genes: List[Gene] = []
-        for block in range(1, self.num_blocks + 1):
-            genes.append(Gene(f"block{block}_layers", self.layers_per_block))
-            genes.append(Gene(f"block{block}_kernel", self.kernel_sizes))
-            genes.append(Gene(f"block{block}_filters", self.filter_counts))
-            genes.append(Gene(f"block{block}_pool", (False, True)))
-        genes.append(Gene("fc_present", (False, True)))
-        genes.append(Gene("fc_units", self.fc_units))
-        return EncodingScheme(genes)
-
-    # ------------------------------------------------------------------ validity
-    def is_valid(self, indices: Sequence[int]) -> bool:
-        """At least ``min_pool_layers`` of the block pools must be enabled."""
-        values = self.encoding.values(indices)
-        pools = sum(
-            1 for block in range(1, self.num_blocks + 1) if values[f"block{block}_pool"]
-        )
-        return pools >= self.min_pool_layers
-
-    def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
-        """Switch on pooling at random blocks until the constraint holds."""
-        rng = ensure_rng(rng)
-        arr = self.encoding.validate_indices(indices).copy()
-        pool_positions = [
-            self.encoding.gene_position(f"block{block}_pool")
-            for block in range(1, self.num_blocks + 1)
-        ]
-        on_index = self.encoding.gene("block1_pool").index_of(True)
-        off_positions = [pos for pos in pool_positions if arr[pos] != on_index]
-        missing = self.min_pool_layers - (len(pool_positions) - len(off_positions))
-        if missing > 0:
-            chosen = rng.choice(len(off_positions), size=missing, replace=False)
-            for choice in np.atleast_1d(chosen):
-                arr[off_positions[int(choice)]] = on_index
-        return arr
+    def _head_genes(self) -> List[Gene]:
+        return [Gene("fc_present", (False, True)), Gene("fc_units", self.fc_units)]
 
     # ------------------------------------------------------------------ decoding
     def decode(

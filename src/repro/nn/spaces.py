@@ -24,12 +24,12 @@ Spaces are addressable by name through
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.architecture import Architecture
-from repro.nn.encoding import EncodingScheme
+from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.graph import PartitionGraph
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -87,6 +87,10 @@ class SearchSpace(abc.ABC):
     @abc.abstractmethod
     def to_features(self, indices: Sequence[int]) -> np.ndarray:
         """Unit-cube feature vector for the Gaussian-process surrogates."""
+
+    def to_feature_matrix(self, genotypes: Sequence[Sequence[int]]) -> np.ndarray:
+        """``(n, d)`` matrix whose rows are :meth:`to_features` of each genotype."""
+        return np.vstack([self.to_features(genotype) for genotype in genotypes])
 
     # ------------------------------------------------------------------ validity
     def is_valid(self, indices: Sequence[int]) -> bool:
@@ -184,6 +188,12 @@ class EncodedSearchSpace(SearchSpace):
         """Unit-cube feature vector for the Gaussian-process surrogates."""
         return self.encoding.to_unit(indices)
 
+    def to_feature_matrix(self, genotypes: Sequence[Sequence[int]]) -> np.ndarray:
+        """All genotypes' unit-cube features from one matrix projection."""
+        if type(self).to_features is not EncodedSearchSpace.to_features:
+            return super().to_feature_matrix(genotypes)  # custom features: per row
+        return self.encoding.to_unit(np.asarray(genotypes, dtype=int))
+
     # ------------------------------------------------------------------ sampling
     def _repair_checked(self, indices: np.ndarray, rng) -> np.ndarray:
         """Repair an invalid genotype, enforcing the repair contract."""
@@ -255,3 +265,88 @@ class EncodedSearchSpace(SearchSpace):
         """Deterministic short name for a genotype."""
         arr = self.encoding.validate_indices(indices)
         return super().candidate_name(arr)
+
+
+class PooledBlockSearchSpace(EncodedSearchSpace):
+    """Encoded space of convolutional blocks, each with an optional pool.
+
+    Every block has four genes — ``block{i}_layers``, ``block{i}_kernel``,
+    ``block{i}_filters`` and ``block{i}_pool`` (``False``/``True``) — and
+    the head genes of :meth:`_head_genes` follow.  A valid genotype switches
+    on at least ``min_pool_layers`` of the pools.  Validity and repair work
+    on the pool genes' positions, looked up once here, not through a
+    ``{name: value}`` dict per call.  Subclasses add their own head
+    constraints on top (:meth:`_satisfies`, :meth:`repair`) and decode.
+    """
+
+    def __init__(
+        self,
+        num_blocks: int,
+        layers_per_block: Sequence[int],
+        kernel_sizes: Sequence[int],
+        filter_counts: Sequence[int],
+        fc_units: Sequence[int],
+        min_pool_layers: int,
+        num_classes: int,
+        accuracy_input_shape: Tuple[int, ...],
+        performance_input_shape: Tuple[int, ...],
+    ):
+        if num_blocks < 1:
+            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+        if min_pool_layers > num_blocks:
+            raise ValueError(
+                f"min_pool_layers ({min_pool_layers}) cannot exceed num_blocks ({num_blocks})"
+            )
+        self.num_blocks = int(num_blocks)
+        self.layers_per_block = tuple(int(v) for v in layers_per_block)
+        self.kernel_sizes = tuple(int(v) for v in kernel_sizes)
+        self.filter_counts = tuple(int(v) for v in filter_counts)
+        self.fc_units = tuple(int(v) for v in fc_units)
+        self.min_pool_layers = int(min_pool_layers)
+        self.num_classes = int(num_classes)
+        self.accuracy_input_shape = tuple(accuracy_input_shape)
+        self.performance_input_shape = tuple(performance_input_shape)
+        genes: List[Gene] = []
+        for block in range(1, self.num_blocks + 1):
+            genes.append(Gene(f"block{block}_layers", self.layers_per_block))
+            genes.append(Gene(f"block{block}_kernel", self.kernel_sizes))
+            genes.append(Gene(f"block{block}_filters", self.filter_counts))
+            genes.append(Gene(f"block{block}_pool", (False, True)))
+        self.encoding = EncodingScheme(genes + self._head_genes())
+        self._pool_positions = [
+            self.encoding.gene_position(f"block{block}_pool")
+            for block in range(1, self.num_blocks + 1)
+        ]
+        self._pool_on = self.encoding.gene("block1_pool").index_of(True)
+
+    @abc.abstractmethod
+    def _head_genes(self) -> List[Gene]:
+        """Genes after the blocks (the fully-connected head)."""
+
+    def pool_count(self, indices: Sequence[int]) -> int:
+        """Number of pooling layers encoded by the given genotype."""
+        return self._pools_on(self.encoding.validate_indices(indices).tolist())
+
+    def _pools_on(self, values: List[int]) -> int:
+        return [values[pos] for pos in self._pool_positions].count(self._pool_on)
+
+    def is_valid(self, indices: Sequence[int]) -> bool:
+        """Whether the genotype satisfies the space's constraints."""
+        return self._satisfies(self.encoding.validate_indices(indices).tolist())
+
+    def _satisfies(self, values: List[int]) -> bool:
+        """Constraint check on a validated genotype given as a list: enough pools."""
+        return self._pools_on(values) >= self.min_pool_layers
+
+    def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
+        """Switch on pooling at uniformly random blocks until the constraint holds."""
+        rng = ensure_rng(rng)
+        arr = self.encoding.validate_indices(indices).copy()
+        values = arr.tolist()
+        off = [pos for pos in self._pool_positions if values[pos] != self._pool_on]
+        missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
+        if missing > 0:
+            chosen = rng.choice(len(off), size=missing, replace=False)
+            for choice in chosen.tolist():
+                arr[off[choice]] = self._pool_on
+        return arr

@@ -53,6 +53,8 @@ DEFAULT_GP_UPDATE = "incremental"
 
 #: Callable turning a candidate into its GP feature vector.
 FeatureFn = Callable[[Any], np.ndarray]
+#: Callable turning a candidate pool into its ``(n, d)`` feature matrix.
+PoolFeatureFn = Callable[[Sequence[Any]], np.ndarray]
 #: Callable sampling a random candidate.
 SampleFn = Callable[[np.random.Generator], Any]
 #: Callable evaluating a candidate; returns objectives or (objectives, metadata).
@@ -172,6 +174,11 @@ class MultiObjectiveBayesianOptimizer:
         ``sample_fn(rng) -> candidate`` — draws a random valid candidate.
     feature_fn:
         ``feature_fn(candidate) -> 1-D array`` — unit-cube features for the GPs.
+    pool_features_fn:
+        Optional ``pool_features_fn(candidates) -> (n, d) array`` whose rows
+        equal ``feature_fn`` of each candidate, used to featurise each
+        iteration's acquisition pool in one call (e.g. one matrix
+        projection over the pool's genotypes).
     objective_fn:
         ``objective_fn(candidate) -> objectives`` (all minimised) or
         ``(objectives, metadata)``.
@@ -258,6 +265,7 @@ class MultiObjectiveBayesianOptimizer:
         objective_fn: ObjectiveFn,
         num_objectives: int,
         batch_objective_fn: Optional[BatchObjectiveFn] = None,
+        pool_features_fn: Optional[PoolFeatureFn] = None,
         num_initial: int = 10,
         num_iterations: int = 50,
         candidate_pool_size: int = 128,
@@ -303,6 +311,7 @@ class MultiObjectiveBayesianOptimizer:
         self.feature_fn = feature_fn
         self.objective_fn = objective_fn
         self.batch_objective_fn = batch_objective_fn
+        self.pool_features_fn = pool_features_fn
         self.num_objectives = int(num_objectives)
         self.num_initial = int(num_initial)
         self.num_iterations = int(num_iterations)
@@ -511,7 +520,8 @@ class MultiObjectiveBayesianOptimizer:
         return self.sample_fn(self._rng)
 
     # ------------------------------------------------------------------ pool construction
-    def _build_pool(self) -> List[Any]:
+    def _build_pool(self) -> Tuple[List[Any], np.ndarray]:
+        """Sample this iteration's unseen acquisition pool and its features."""
         pool: List[Any] = []
         keys: set = set()
         target = self.candidate_pool_size
@@ -538,7 +548,11 @@ class MultiObjectiveBayesianOptimizer:
                     keys.add(key)
         if not pool:
             pool.append(self._sample_unseen())
-        return pool
+        if self.pool_features_fn is not None:
+            features = np.asarray(self.pool_features_fn(pool), dtype=float)
+        else:
+            features = np.vstack([self.feature_fn(c) for c in pool])
+        return pool, features
 
     # ------------------------------------------------------------------ surrogate models
     def _fit_models(self, refresh_lengthscale: bool) -> Tuple[GPBank, np.ndarray, np.ndarray]:
@@ -623,8 +637,7 @@ class MultiObjectiveBayesianOptimizer:
                 self._record_random_acquisition(
                     "no finite evaluations to fit surrogates on", None
                 )
-            pool = self._build_pool()
-            pool_features = np.vstack([self.feature_fn(c) for c in pool])
+            pool, pool_features = self._build_pool()
             scores = None
             if models is not None:
                 front = None

@@ -55,6 +55,33 @@ class TestRunSearch:
         assert outcome.label == "lens"
         assert outcome.wall_time_s > 0.0
 
+    def test_wall_time_covers_the_front_history_pass(
+        self, small_search_space, engine, outcome, monkeypatch
+    ):
+        import time
+
+        import repro.api.session as session
+
+        real = session.compute_front_history
+
+        def slow_front_history(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session, "compute_front_history", slow_front_history)
+        slow = run_search(
+            strategy="lens",
+            scenario="wifi-3mbps/jetson-tx2-gpu",
+            search_space=small_search_space,
+            engine=engine,
+            **FAST,
+        )
+        assert slow.wall_time_s >= 0.2
+        assert slow.request.fingerprint() == outcome.request.fingerprint()
+        assert [c.architecture_name for c in slow.candidates] == [
+            c.architecture_name for c in outcome.candidates
+        ]
+
     def test_outcome_embeds_request_and_scenario(self, outcome):
         assert outcome.request.strategy == "lens"
         assert outcome.scenario.name == "wifi-3mbps/jetson-tx2-gpu"

@@ -66,6 +66,26 @@ class TestMOBO:
         b = _make_optimizer(seed=3).run().objective_matrix()
         assert np.array_equal(a, b)
 
+    def test_pool_features_fn_selects_what_feature_fn_selects(self):
+        calls = []
+
+        def pool_features(pool):
+            calls.append(len(pool))
+            return np.asarray(pool, dtype=float) / (GRID - 1)
+
+        for acquisition, batch_size in (("ts", 1), ("epdc", 3)):
+            plain = _make_optimizer(acquisition=acquisition, batch_size=batch_size)
+            pooled = _make_optimizer(
+                acquisition=acquisition, batch_size=batch_size,
+                pool_features_fn=pool_features,
+            )
+            a, b = plain.run(), pooled.run()
+            assert [p.candidate.tolist() for p in a.points] == [
+                p.candidate.tolist() for p in b.points
+            ]
+            assert plain._rng.bit_generator.state == pooled._rng.bit_generator.state
+        assert calls and all(size > 0 for size in calls)
+
     def test_avoids_duplicate_candidates(self):
         result = _make_optimizer(num_iterations=20).run()
         keys = [tuple(p.candidate.tolist()) for p in result.points]

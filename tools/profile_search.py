@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""cProfile harness for one search run, split by surrogate vs evaluation work.
+"""cProfile harness for one search run, split by search phase.
 
 Runs :func:`repro.api.run_search` under cProfile and prints the hottest
-functions plus an aggregate split of where the time went: the surrogate
-engine (``repro.optim.gp`` / ``gp_bank`` / ``kernels``), acquisition
-scoring, Pareto bookkeeping, and candidate evaluation (predictors +
-Algorithm 1).  Use ``--gp-update exact-refit`` to profile the pre-bank
-cold-refit behaviour and quantify the incremental fast path on a real
-search::
+functions plus an aggregate split of where the time went: pool
+construction (genotype sampling, mutation, validity and repair, and the
+optimizer's pool loop), the surrogate engine (``repro.optim.gp`` /
+``gp_bank`` / ``kernels``), acquisition scoring, Pareto bookkeeping, and
+candidate evaluation (decoding, predictors + Algorithm 1).  Use
+``--gp-update exact-refit`` to profile the pre-bank cold-refit behaviour
+and quantify the incremental fast path on a real search::
 
     PYTHONPATH=src python tools/profile_search.py --evaluations 300
     PYTHONPATH=src python tools/profile_search.py --evaluations 300 \
@@ -29,27 +30,56 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro  # noqa: E402
 import repro.optim.mobo as mobo  # noqa: E402
 from repro.api import run_search  # noqa: E402
 from repro.optim.gp import UPDATE_MODES  # noqa: E402
 
-#: Module substrings used to attribute cumulative time to subsystems.
+#: Directory of the package's own source files.
+PACKAGE_DIR = str(Path(repro.__file__).resolve().parent)
+
+#: Frames of pool construction: the whole genotype encoding, the spaces'
+#: sampling, mutation, validity and repair, the evaluator's sampling
+#: adapters and the optimizer's pool loop.  A fragment is a path substring,
+#: optionally ``path:function`` to match one function of that file.
+POOL_FRAGMENTS = (
+    "nn/encoding.py",
+    *(
+        f"nn/:{function}"
+        for function in (
+            "sample", "sample_batch", "neighbours", "_repair_checked", "is_valid",
+            "_satisfies", "_pools_on", "pool_count", "repair", "to_feature_matrix",
+        )
+    ),
+    "core/evaluation.py:sample_fn",
+    "core/evaluation.py:neighbor_fn",
+    "core/evaluation.py:pool_features_fn",
+    "optim/mobo.py:_build_pool",
+    "optim/mobo.py:_sample_unseen",
+    "optim/mobo.py:_default_key",
+)
+
+#: Path substrings used to attribute internal time to search phases.
+#: Order matters — first match wins, so pool construction claims its
+#: ``core/evaluation.py`` adapters before candidate evaluation does.
 BUCKETS = {
+    "pool construction": POOL_FRAGMENTS,
     "surrogate (gp/bank/kernels)": ("optim/gp.py", "optim/gp_bank.py", "optim/kernels.py"),
     "acquisition + scalarisation": ("optim/acquisition.py", "optim/scalarization.py"),
     "pareto bookkeeping": ("optim/pareto.py",),
-    "candidate evaluation": ("core/evaluation.py", "partition/", "hardware/", "accuracy/"),
+    "candidate evaluation": ("core/evaluation.py", "partition/", "hardware/", "accuracy/", "nn/"),
 }
 
 #: Finer attribution inside the evaluation phase (``--phase eval``): which
 #: share goes to the per-layer predictors, the partition costing, the channel
 #: cost model, decoding/shape inference, the accuracy surrogate and the
-#: engine's caching layer.  Order matters — first match wins.
+#: engine's caching layer.  Pool-construction frames are left out.  Order
+#: matters — first match wins.
 EVAL_BUCKETS = {
     "layer predictors + features": ("hardware/predictors.py", "hardware/features.py"),
     "partition costing": ("partition/",),
     "channel cost model": ("wireless/",),
-    "nn: decode/sampling/shapes": ("nn/",),
+    "nn: decode/shapes": ("nn/",),
     "accuracy surrogate": ("accuracy/",),
     "engine caching": ("api/engine.py",),
     "evaluator glue": ("core/evaluation.py",),
@@ -89,15 +119,36 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def bucket_times(stats: pstats.Stats, buckets: dict = BUCKETS) -> dict:
-    """Total internal time attributed to each bucket of ``buckets``."""
+def matches(fragment: str, filename: str, function: str) -> bool:
+    """Whether a ``path`` or ``path:function`` fragment matches a frame."""
+    path, _, name = fragment.partition(":")
+    return path in filename and (not name or name == function)
+
+
+def bucket_times(
+    stats: pstats.Stats, buckets: dict = BUCKETS, exclude: tuple = ()
+) -> dict:
+    """Total internal time attributed to each bucket of ``buckets``.
+
+    The internal time of a frame outside the package (a built-in, or
+    numpy's own Python code) is charged to the frames that called it, since
+    cProfile times every caller edge, so numpy work lands in the phase that
+    asked for it.  Frames matching a fragment of ``exclude`` are left out
+    of every bucket.
+    """
     totals = {name: 0.0 for name in buckets}
-    for (filename, _line, _name), entry in stats.stats.items():  # type: ignore[attr-defined]
-        internal_time = entry[2]
-        for name, fragments in buckets.items():
-            if any(fragment in filename for fragment in fragments):
-                totals[name] += internal_time
-                break
+    for frame, entry in stats.stats.items():  # type: ignore[attr-defined]
+        if not frame[0].startswith(PACKAGE_DIR):
+            charges = [(caller, timing[2]) for caller, timing in entry[4].items()]
+        else:
+            charges = [(frame, entry[2])]
+        for (filename, _line, function), seconds in charges:
+            if any(matches(fragment, filename, function) for fragment in exclude):
+                continue
+            for name, fragments in buckets.items():
+                if any(matches(fragment, filename, function) for fragment in fragments):
+                    totals[name] += seconds
+                    break
     return totals
 
 
@@ -136,7 +187,7 @@ def main(argv=None) -> int:
         print(f"  {name:<30} {seconds:8.3f}s  ({share:5.1f}% of wall)")
 
     if args.phase == "eval":
-        eval_totals = bucket_times(stats, EVAL_BUCKETS)
+        eval_totals = bucket_times(stats, EVAL_BUCKETS, exclude=POOL_FRAGMENTS)
         phase_total = sum(eval_totals.values())
         print(
             "evaluation-phase breakdown "
