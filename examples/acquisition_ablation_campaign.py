@@ -27,11 +27,12 @@ from __future__ import annotations
 import sys
 import tempfile
 
-import numpy as np
-
+# repro first: it pins BLAS to one thread only if numpy is not loaded yet.
 from repro.campaign import CampaignSpec, RunStore, run_campaign
 from repro.optim.pareto import hypervolume, pareto_front_mask
 from repro.utils.serialization import format_table
+
+import numpy as np
 
 OBJECTIVES = ("error_percent", "latency_s", "energy_j")
 

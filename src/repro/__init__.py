@@ -58,7 +58,21 @@ Underneath, the library is organised by substrate:
 * :mod:`repro.campaign` — parallel, resumable campaign runs of the
   experiment API into persistent run stores (also scriptable as
   ``python -m repro``).
+
+Importing the package pins BLAS to one thread per process unless the user
+has set any of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``: the search's matrices are far too small for BLAS
+threads to pay off, and campaign workers would oversubscribe the cores.
+It only takes effect if numpy has not been imported yet.
 """
+
+import os
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# All or nothing: OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS,
+# so filling in only the unset ones would override a user's OMP_NUM_THREADS.
+if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
 
 from repro.api.engine import EvaluationEngine, default_engine
 from repro.api.envelopes import SearchOutcome, SearchRequest

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Mapping, Union
 
@@ -67,11 +68,13 @@ def atomic_write_text(path: Path, text: str) -> None:
     The content goes to a temp file in the same directory and is
     ``os.replace``-d into place, so a crash mid-write leaves either the old
     file or the new one — never a torn hybrid.  Shared by the campaign run
-    stores, the manifest writer and the search checkpoint layer.
+    stores, the manifest writer and the search checkpoint layer.  The temp
+    name is unique per thread, because pull workers can share a process
+    and flush the same store index at once.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 

@@ -1,6 +1,7 @@
 """Tests for repro.utils.serialization."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.scenario import scenario_by_name
 from repro.core.results import CandidateEvaluation
 from repro.partition.deployment import DeploymentOption
-from repro.utils.serialization import dump_json, format_table, load_json, to_jsonable
+from repro.utils.serialization import (
+    atomic_write_text,
+    dump_json,
+    format_table,
+    load_json,
+    to_jsonable,
+)
 
 
 def test_to_jsonable_handles_numpy_scalars():
@@ -44,6 +51,31 @@ def test_dump_and_load_round_trip(tmp_path):
     path = dump_json(payload, tmp_path / "out" / "data.json")
     assert path.exists()
     assert load_json(path) == payload
+
+
+def test_atomic_write_text_is_safe_across_threads_of_one_process(tmp_path):
+    """Threads sharing a pid must not share a temp file (pull workers do)."""
+    path = tmp_path / "index.json"
+    errors = []
+    barrier = threading.Barrier(4)
+
+    def writer(name):
+        barrier.wait()
+        for i in range(200):
+            try:
+                atomic_write_text(path, f"{name}-{i}")
+            except OSError as error:
+                errors.append(error)
+
+    threads = [threading.Thread(target=writer, args=(f"w{n}",)) for n in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert path.read_text(encoding="utf-8").endswith("-199")
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
 
 
 def test_format_table_alignment_and_precision():
