@@ -23,12 +23,18 @@ timings/speedups as JSON.  Timing floors are only asserted on full-size runs
 >= 5x surrogate-phase speedup over the legacy cold path.
 
 A second test smokes the vectorised ``pareto_front_mask`` on a 50k-point
-cloud and cross-checks it against the O(n^2) reference implementation.
+cloud and cross-checks it against the O(n^2) reference implementation.  A
+third times ``compute_front_history`` (incremental front, hypervolume only on
+joins) against the per-prefix rebuild oracle of
+``tests/test_front_history_incremental.py`` on a seeded 2000x3 stream: the
+histories must be identical on every run, and full runs must be >= 10x faster.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import FAST_MODE, save_table
@@ -36,8 +42,15 @@ from conftest import FAST_MODE, save_table
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.optim.kernels import Matern52Kernel
-from repro.optim.pareto import _pareto_front_mask_reference, pareto_front_mask
+from repro.optim.pareto import (
+    _pareto_front_mask_reference,
+    compute_front_history,
+    pareto_front_mask,
+)
 from repro.optim.scalarization import normalize_objectives
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from test_front_history_incremental import front_history_oracle  # noqa: E402
 
 #: Final evaluation counts replayed by the surrogate-phase benchmark.
 SIZES = (30, 60) if FAST_MODE else (50, 200, 500)
@@ -60,6 +73,9 @@ PARITY_TOLERANCE = 1e-6
 #: Pareto smoke-cloud size (and the cross-check subsample size).
 PARETO_POINTS = 5_000 if FAST_MODE else 50_000
 PARETO_CHECK_POINTS = 2_000
+
+#: Front-history stream length (a random-resnet workload search runs 2000).
+FRONT_HISTORY_EVALUATIONS = 300 if FAST_MODE else 2000
 
 _LENGTHSCALE = 0.5 * float(np.sqrt(FEATURE_DIM))
 
@@ -305,3 +321,47 @@ def test_pareto_front_mask_vectorized_smoke():
     assert np.array_equal(
         pareto_front_mask(sample), _pareto_front_mask_reference(sample)
     )
+
+
+def test_front_history_incremental_speedup_and_parity():
+    """Incremental front history: identical to the per-prefix rebuild, >= 10x faster."""
+    rng = np.random.default_rng(11)
+    Y = rng.uniform(size=(FRONT_HISTORY_EVALUATIONS, 3))
+
+    start = time.perf_counter()
+    history = compute_front_history(Y)
+    incremental_s = time.perf_counter() - start
+    start = time.perf_counter()
+    oracle = front_history_oracle(Y)
+    rebuild_s = time.perf_counter() - start
+    parity = history == oracle
+    speedup = rebuild_s / incremental_s if incremental_s > 0 else float("inf")
+
+    text = (
+        f"compute_front_history on {FRONT_HISTORY_EVALUATIONS} random 3-objective "
+        f"evaluations: incremental {incremental_s * 1e3:.1f} ms, per-prefix rebuild "
+        f"{rebuild_s * 1e3:.1f} ms, {speedup:.1f}x, "
+        f"{len(history.front_advances())} joins, final front "
+        f"{history.final_front_size}, identical: {parity}"
+    )
+    print("\n" + text)
+    save_table(
+        "front_history",
+        text,
+        {
+            "evaluations": FRONT_HISTORY_EVALUATIONS,
+            "incremental_s": incremental_s,
+            "rebuild_s": rebuild_s,
+            "speedup": speedup,
+            "parity": parity,
+            "joins": len(history.front_advances()),
+            "final_front_size": history.final_front_size,
+            "fast_mode": FAST_MODE,
+        },
+    )
+    assert parity, "incremental front history differs from the per-prefix rebuild"
+    if not FAST_MODE:
+        assert speedup >= 10.0, (
+            "incremental front history of a 2000-evaluation stream should be "
+            f">= 10x faster than the per-prefix rebuild, measured {speedup:.1f}x"
+        )

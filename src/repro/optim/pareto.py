@@ -101,6 +101,19 @@ def pareto_front_indices(objectives: np.ndarray) -> np.ndarray:
     return np.nonzero(pareto_front_mask(objectives))[0]
 
 
+def _dominance_update(front: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """Join/evict step of an incrementally-maintained non-dominated set.
+
+    Returns ``None`` when a row of the ``(m, k)`` ``front`` dominates ``y``;
+    otherwise the mask of rows ``y`` does not dominate (the survivors, after
+    which ``y`` is appended).  Uses the :func:`dominates` rule: duplicates
+    coexist, and a row holding NaN neither dominates nor is dominated.
+    """
+    if np.any(np.all(front <= y, axis=1) & np.any(front < y, axis=1)):
+        return None
+    return ~(np.all(y <= front, axis=1) & np.any(y < front, axis=1))
+
+
 @dataclass
 class ArchiveEntry:
     """One non-dominated entry of a :class:`ParetoArchive`."""
@@ -160,14 +173,10 @@ class ParetoArchive:
             raise ValueError(
                 f"expected {self.num_objectives} objectives, got shape {objectives.shape}"
             )
-        for entry in self._entries:
-            if dominates(entry.objectives, objectives):
-                return False
-        self._entries = [
-            entry
-            for entry in self._entries
-            if not dominates(objectives, entry.objectives)
-        ]
+        keep = _dominance_update(self.objective_matrix(), objectives)
+        if keep is None:
+            return False
+        self._entries = [entry for entry, kept in zip(self._entries, keep) if kept]
         self._entries.append(ArchiveEntry(payload=payload, objectives=objectives))
         return True
 
@@ -443,11 +452,16 @@ def default_reference_point(objectives: np.ndarray) -> np.ndarray:
     The nadir over every observation plus a 10 % margin of the observed
     range (and a tiny absolute epsilon so degenerate columns still enclose
     their points), matching the convention of
-    :func:`repro.analysis.pareto_metrics.compare_fronts`.
+    :func:`repro.analysis.pareto_metrics.compare_fronts`.  Rows holding a
+    NaN or an infinity are left out of the nadir and the range (unless no
+    row is finite), so one failed evaluation cannot void the whole box.
     """
     Y = np.atleast_2d(np.asarray(objectives, dtype=float))
     if Y.size == 0:
         raise ValueError("cannot derive a reference point from no objectives")
+    finite = np.isfinite(Y).all(axis=1)
+    if finite.any():
+        Y = Y[finite]
     nadir = Y.max(axis=0)
     ideal = Y.min(axis=0)
     return nadir + 0.1 * (nadir - ideal) + 1e-9
@@ -471,7 +485,7 @@ def compute_front_history(
         Optional objective names recorded in the history.
     reference:
         Hypervolume reference point; defaults to
-        :func:`default_reference_point` over all observations, so the whole
+        :func:`default_reference_point` over the observations, so the whole
         run is scored against one fixed box.
     labels / iterations:
         Optional per-evaluation candidate labels and iteration numbers.
@@ -489,18 +503,23 @@ def compute_front_history(
         raise ValueError(
             f"reference has {ref.shape[0]} objectives but points have {Y.shape[1]}"
         )
+    # Front rows stay in evaluation order, the order a per-prefix
+    # ``pareto_front_mask`` gives, so every hypervolume is bit-identical.
     entries: List[FrontHistoryEntry] = []
+    front = np.zeros(0, dtype=int)
+    volume = 0.0
     for t in range(n):
-        prefix = Y[: t + 1]
-        mask = pareto_front_mask(prefix)
-        front = prefix[mask]
+        keep = _dominance_update(Y[front], Y[t])
+        if keep is not None:
+            front = np.append(front[keep], t)
+            volume = hypervolume(Y[front], ref)
         entries.append(
             FrontHistoryEntry(
                 evaluation=t,
                 iteration=int(iterations[t]) if iterations is not None else t,
-                front_size=int(mask.sum()),
-                hypervolume=hypervolume(front, ref),
-                joined_front=bool(mask[t]),
+                front_size=int(front.size),
+                hypervolume=volume,
+                joined_front=keep is not None,
                 candidate=None if labels is None else labels[t],
             )
         )

@@ -367,6 +367,29 @@ class TestFrontHistory:
         with pytest.raises(ValueError):
             compute_front_history(rng.uniform(size=(4, 3)), reference=[1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_does_not_poison_the_history(self, bad):
+        Y = np.array([[1, 2, 3], [2, 1, 3], [bad, 0, 0], [0.5, 0.5, 0.5]])
+        finite = Y[[0, 1, 3]]
+        history = compute_front_history(Y)
+        assert history.reference == tuple(default_reference_point(finite))
+        volumes = history.hypervolumes()
+        assert np.all(np.isfinite(volumes)) and np.all(volumes > 0.0)
+        # the non-finite row lies outside the box and adds no volume
+        assert history.final_hypervolume == compute_front_history(finite).final_hypervolume
+
+    def test_default_reference_point_of_finite_rows_is_unchanged(self, rng):
+        Y = rng.uniform(10.0, 500.0, size=(40, 3))
+        nadir, ideal = Y.max(axis=0), Y.min(axis=0)
+        expected = nadir + 0.1 * (nadir - ideal) + 1e-9
+        assert np.array_equal(default_reference_point(Y), expected)
+        # with no finite row at all the nadir is taken over every row
+        bad = np.array([[np.inf, 1.0], [2.0, np.nan]])
+        nadir, ideal = bad.max(axis=0), bad.min(axis=0)
+        np.testing.assert_array_equal(
+            default_reference_point(bad), nadir + 0.1 * (nadir - ideal) + 1e-9
+        )
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -391,3 +414,32 @@ def test_property_front_members_are_mutually_non_dominated(points):
     dropped = Y[~pareto_front_mask(Y)]
     for point in dropped:
         assert any(dominates(f, point) for f in front)
+
+
+_ARCHIVE_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    st.floats(min_value=0, max_value=3, allow_nan=False),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.lists(
+            st.lists(_ARCHIVE_VALUES, min_size=k, max_size=k), min_size=1, max_size=30
+        )
+    ),
+    st.data(),
+)
+def test_property_archive_equals_front_mask_row_for_row(rows, data):
+    # re-offer earlier rows so the stream also carries later exact duplicates
+    for index in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=6)):
+        rows.append(list(rows[index]))
+    Y = np.array(rows, dtype=float)
+    archive = ParetoArchive(Y.shape[1])
+    for index, row in enumerate(Y):
+        archive.add(index, row)
+    mask = pareto_front_mask(Y)
+    np.testing.assert_array_equal(archive.objective_matrix(), Y[mask])
+    assert archive.payloads == list(np.nonzero(mask)[0])

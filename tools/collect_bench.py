@@ -38,6 +38,8 @@ HEADLINE_FIELDS = (
     ("eval_batch", "batched_us_per_candidate", "eval_batch_us_per_candidate"),
     ("engine_cache", "speedup", "engine_cache_speedup"),
     ("pareto_mask_smoke", "elapsed_s", "pareto_50k_elapsed_s"),
+    ("front_history", "speedup", "front_history_speedup"),
+    ("front_history", "parity", "front_history_parity"),
     ("campaign_store_index", "index_writes_per_append", "store_index_writes_per_append"),
     ("campaign_store_index", "appends_per_s", "store_appends_per_s"),
     ("campaign_distributed", "pull_worker_wall_s", "distributed_pull_wall_s"),
