@@ -225,8 +225,6 @@ def test_pull_worker_sharded_matches_serial(tmp_path):
     the serial fingerprint set.  Wall clocks are reported, not asserted
     (worker startup dominates at benchmark-smoke budgets).
     """
-    from repro.campaign import ShardedRunStore
-
     spec = SPEC if not FAST_MODE else CampaignSpec(
         scenarios=("wifi-3mbps/jetson-tx2-gpu", "lte-3mbps/jetson-tx2-gpu"),
         strategies=("random",),
@@ -239,7 +237,7 @@ def test_pull_worker_sharded_matches_serial(tmp_path):
     serial = RunStore(tmp_path / "serial")
     serial_result = run_campaign(spec, serial, workers=1)
 
-    sharded = ShardedRunStore(tmp_path / "sharded")
+    sharded = RunStore(tmp_path / "sharded")
     pull_result = run_campaign(
         spec,
         sharded,

@@ -4,7 +4,7 @@ The paper's headline comparisons (Fig. 2/6, Table I) come from running the
 same search under many device x wireless conditions.  This example declares
 that grid once as a :class:`~repro.campaign.gridspec.CampaignSpec` (three
 scenarios x two strategies), fans it out over worker processes into a
-JSONL-backed :class:`~repro.campaign.store.RunStore`, then *re-runs the
+sharded JSONL :class:`~repro.campaign.store.RunStore`, then *re-runs the
 campaign* to show resume semantics: every cell is already fingerprinted in
 the store, so nothing executes twice.  Finally the store is aggregated into
 per-scenario winners — the strategy owning the largest share of each
@@ -77,7 +77,7 @@ def main() -> None:
         print(f"  {winner.scenario:<28} {winner.winner:<12} "
               f"({100 * share:.0f}% of a {winner.front_size}-point front)")
     print(f"\nstore persisted at {store.directory} "
-          f"(runs.jsonl + index.json, {len(store)} runs)")
+          f"(shards/*.jsonl + index.json, {len(store)} runs)")
 
 
 if __name__ == "__main__":

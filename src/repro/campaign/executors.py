@@ -15,18 +15,15 @@ Built-in executors
     A :class:`concurrent.futures.ProcessPoolExecutor` fan-out (the
     pre-existing parallel path, refactored behind the interface).  Default
     for ``workers > 1``.
-``asyncio``
-    Subprocess-per-cell under an :class:`asyncio.Semaphore` concurrency
-    limit.  Cells run via ``repro run-cell`` (request JSON on stdin,
-    outcome JSON on stdout), so each gets a fresh interpreter — full
-    isolation from parent state at spawn cost.
 ``pull-worker``
-    Publishes a :class:`~repro.campaign.manifest.CampaignManifest` into a
-    shared :class:`~repro.campaign.sharded.ShardedRunStore` directory and
-    launches N ``repro worker`` processes that *pull* cells through the
-    lease protocol (:mod:`repro.campaign.leases`).  The only executor that
-    survives worker crashes mid-campaign, and the same protocol additional
-    workers on other machines join by pointing at the directory.
+    Publishes a :class:`~repro.campaign.manifest.CampaignManifest` into the
+    :class:`~repro.campaign.store.RunStore` directory and launches N
+    ``repro worker`` processes that *pull* cells through the lease protocol
+    (:mod:`repro.campaign.leases`).  Cells run isolated from the parent,
+    under enforced deadlines, with failures audited as error envelopes; it
+    is the only executor that survives worker crashes mid-campaign, and the
+    same protocol additional workers on other machines join by pointing at
+    the directory.
 
 Executors report results through the :class:`ExecutionContext` callbacks —
 ``record`` for outcomes, ``fail`` for error envelopes — and never touch the
@@ -37,8 +34,6 @@ append twice).
 
 from __future__ import annotations
 
-import asyncio
-import json
 import os
 import subprocess
 import sys
@@ -53,8 +48,7 @@ from repro.api.registry import Registry
 from repro.api.session import run_search
 from repro.campaign.errors import ErrorEnvelope
 from repro.campaign.manifest import CampaignManifest
-from repro.campaign.sharded import ShardedRunStore
-from repro.campaign.store import StoreError
+from repro.campaign.store import RunStore
 from repro.campaign.supervisor import (
     CIRCUIT_OPEN,
     CampaignPolicy,
@@ -211,8 +205,8 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
     cancelled while in-flight ones drain.
 
     ``cell_timeout_s`` is **not** enforced here (a pool worker cannot be
-    killed per-cell without losing its warm engine); use the ``asyncio``
-    or ``pull-worker`` executor when deadlines matter.
+    killed per-cell without losing its warm engine); use the
+    ``pull-worker`` executor when deadlines matter.
     """
 
     name = "process-pool"
@@ -254,7 +248,7 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                     context.record(fingerprint, outcome)
 
 
-# ---------------------------------------------------------------------- asyncio
+# ---------------------------------------------------------------------- pull worker
 
 
 def _subprocess_env() -> Dict[str, str]:
@@ -269,158 +263,13 @@ def _subprocess_env() -> Dict[str, str]:
     return env
 
 
-class AsyncioSubprocessExecutor(CampaignExecutor):
-    """One fresh ``repro run-cell`` subprocess per cell, concurrency-limited.
-
-    The asyncio event loop multiplexes N concurrent subprocesses through a
-    semaphore; each child reads its request JSON from stdin and writes the
-    outcome JSON to stdout (or an error envelope to stderr, exit code 3).
-    Spawning an interpreter per cell costs startup time but gives complete
-    isolation — a cell that corrupts interpreter state (or segfaults)
-    cannot poison its successors.
-    """
-
-    name = "asyncio"
-
-    def run(self, context: ExecutionContext) -> None:
-        asyncio.run(self._run(context))
-
-    async def _run(self, context: ExecutionContext) -> None:
-        semaphore = asyncio.Semaphore(max(1, context.workers))
-        stop = asyncio.Event()
-        env = _subprocess_env()
-        cell_timeout_s = _policy_from_options(context).cell_timeout_s
-
-        async def run_cell(fingerprint: str, request: SearchRequest) -> None:
-            async with semaphore:
-                if stop.is_set():
-                    return
-                process = await asyncio.create_subprocess_exec(
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "run-cell",
-                    stdin=asyncio.subprocess.PIPE,
-                    stdout=asyncio.subprocess.PIPE,
-                    stderr=asyncio.subprocess.PIPE,
-                    env=env,
-                )
-                try:
-                    stdout, stderr = await asyncio.wait_for(
-                        process.communicate(
-                            json.dumps(request.to_dict()).encode("utf-8")
-                        ),
-                        timeout=cell_timeout_s if cell_timeout_s > 0 else None,
-                    )
-                except asyncio.TimeoutError:
-                    # deadline enforcement: kill the overrunning subprocess
-                    # and audit a real E_TIMEOUT
-                    process.kill()
-                    await process.wait()
-                    self._failure(
-                        context,
-                        fingerprint,
-                        request,
-                        stop,
-                        ErrorEnvelope(
-                            code="E_TIMEOUT",
-                            message=(
-                                f"cell exceeded its {cell_timeout_s:g}s "
-                                f"deadline; subprocess killed"
-                            ),
-                            retryable=True,
-                            final=True,
-                            fingerprint=fingerprint,
-                            worker=self.name,
-                            time_s=time.time(),
-                            context=_request_context(request),
-                        ),
-                    )
-                    return
-            if process.returncode == 0:
-                try:
-                    outcome = SearchOutcome.from_dict(
-                        json.loads(stdout.decode("utf-8"))
-                    )
-                except ValueError as error:
-                    self._failure(
-                        context,
-                        fingerprint,
-                        request,
-                        stop,
-                        ErrorEnvelope.from_exception(
-                            error,
-                            fingerprint=fingerprint,
-                            worker=self.name,
-                            context=_request_context(request),
-                        ),
-                    )
-                    return
-                context.record(fingerprint, outcome)
-                return
-            envelope = self._decode_envelope(
-                fingerprint, request, process.returncode, stderr
-            )
-            self._failure(context, fingerprint, request, stop, envelope)
-
-        await asyncio.gather(
-            *(run_cell(fp, request) for fp, request in context.pending)
-        )
-
-    def _decode_envelope(
-        self,
-        fingerprint: str,
-        request: SearchRequest,
-        returncode: Optional[int],
-        stderr: bytes,
-    ) -> ErrorEnvelope:
-        text = stderr.decode("utf-8", errors="replace").strip()
-        if returncode == 3 and text:  # structured envelope from run-cell
-            try:
-                envelope = ErrorEnvelope.from_dict(json.loads(text.splitlines()[-1]))
-                return envelope.replace(
-                    fingerprint=fingerprint, context=_request_context(request)
-                )
-            except (ValueError, KeyError):
-                pass
-        return ErrorEnvelope(
-            code="E_WORKER_LOST",
-            message=(
-                f"run-cell subprocess exited with code {returncode}: "
-                f"{text[-500:] or '(no stderr)'}"
-            ),
-            retryable=True,
-            fingerprint=fingerprint,
-            worker=self.name,
-            time_s=time.time(),
-            context=_request_context(request),
-        )
-
-    def _failure(
-        self,
-        context: ExecutionContext,
-        fingerprint: str,
-        request: SearchRequest,
-        stop: asyncio.Event,
-        envelope: ErrorEnvelope,
-    ) -> None:
-        if context.stop_on_error:
-            stop.set()
-        context.fail(fingerprint, envelope)
-
-
-# ---------------------------------------------------------------------- pull worker
-
-
 class PullWorkerExecutor(CampaignExecutor):
     """Launch N ``repro worker`` processes pulling from a shared store.
 
-    Requires a :class:`~repro.campaign.sharded.ShardedRunStore` destination
-    (the only store format safe for concurrent writers).  The executor
-    publishes the manifest, spawns the workers, then *observes*: it polls
-    the store, reporting newly appeared outcomes (``persisted=True`` — the
-    workers already wrote them) and finally-failed audit records, until
-    every pending cell is resolved.  Workers crashing is survivable — peers
+    The executor publishes the manifest, spawns the workers, then
+    *observes*: it polls the store, reporting newly appeared outcomes
+    (``persisted=True`` — the workers already wrote them) and finally-failed
+    audit records, until every pending cell is resolved.  Workers crashing is survivable — peers
     reclaim their leases; the campaign only fails if **all** workers exit
     with cells still unresolved.
 
@@ -440,12 +289,6 @@ class PullWorkerExecutor(CampaignExecutor):
 
     def run(self, context: ExecutionContext) -> None:
         store = context.store
-        if not isinstance(store, ShardedRunStore):
-            raise StoreError(
-                "the pull-worker executor needs a sharded store "
-                "(run with sharded=True / --sharded); "
-                f"got {type(store).__name__}"
-            )
         if not context.pending:
             return
         manifest = CampaignManifest.from_requests(
@@ -497,7 +340,7 @@ class PullWorkerExecutor(CampaignExecutor):
     def _observe(
         self,
         context: ExecutionContext,
-        store: ShardedRunStore,
+        store: RunStore,
         manifest: CampaignManifest,
         workers: List[subprocess.Popen],
     ) -> None:
@@ -562,7 +405,6 @@ EXECUTORS = Registry(
     {
         SerialExecutor.name: SerialExecutor,
         ProcessPoolCampaignExecutor.name: ProcessPoolCampaignExecutor,
-        AsyncioSubprocessExecutor.name: AsyncioSubprocessExecutor,
         PullWorkerExecutor.name: PullWorkerExecutor,
     },
 )

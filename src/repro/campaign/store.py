@@ -1,81 +1,108 @@
-"""Persistent, resumable storage of search outcomes.
+"""Persistent, resumable, multi-writer storage of search outcomes.
 
-A :class:`RunStore` is a directory holding one append-only JSONL file
-(``runs.jsonl``, one serialized :class:`~repro.api.envelopes.SearchOutcome`
-per line) plus a derived index (``index.json``) mapping each request
-fingerprint to a compact summary and the byte offset of its record.  The
-JSONL file is the source of truth: opening a store always re-scans it, so an
-index lost or staled by an interrupted run is rebuilt rather than trusted.
+A :class:`RunStore` is a directory of append-only JSONL *shards*, one per
+(scenario x search space) context: each serialized
+:class:`~repro.api.envelopes.SearchOutcome` is routed deterministically to
+``shards/<key>.jsonl`` by the scenario and search space its request
+declares.  A derived ``index.json`` maps every request fingerprint to its
+shard and byte offset, and per-shard audit logs under ``audit/`` collect
+structured :class:`~repro.campaign.errors.ErrorEnvelope` failure records.
+The shards are the source of truth: opening a store always rescans them,
+so an index lost or staled by an interrupted run is rebuilt, never trusted.
 
-Durability model
-----------------
-Records are flushed line-by-line, so a campaign killed mid-run loses at most
-the record being written.  A torn trailing line (the process died inside a
-``write``) is excluded from the index on open and truncated away by the next
-:meth:`RunStore.append`; the affected cell simply re-runs on resume.  A
-corrupt line in the *middle* of the file raises — that is disk damage, not
-an interrupted append, and silently dropping finished runs would be worse.
+Stores written before sharding hold one root ``runs.jsonl`` and one root
+``audit.jsonl``.  The scanner reads the first as one more shard and the
+audit readers the second as one more log; new appends always go to
+``shards/``, so such a store keeps working and grows in the current layout.
 
-Every record appended since the integrity layer landed carries a ``crc32``
-field (see :func:`record_crc`) checked on every scan: a line that still
-parses but whose checksum disagrees is disk rot and raises rather than
-being silently served.  Records from older stores (no ``crc32`` field)
-keep reading unchanged.  ``repro store fsck`` verifies, quarantines and
-repairs damaged stores (:func:`repro.campaign.sharded.fsck_store`).
+Concurrency and damage
+----------------------
+Shards accept **concurrent writers**: every append is a single
+``O_APPEND`` write under an advisory ``flock``
+(:func:`~repro.utils.serialization.append_jsonl_atomic`), so records from
+independent ``repro worker`` processes never interleave, and a writer that
+finds a dead writer's unterminated fragment ends that line before its own.
+Workers hold a lease per fingerprint (:mod:`repro.campaign.leases`), so at
+most one writer *intends* to store each cell; the scanner covers the crashy
+tail of that guarantee:
 
-The store expects a single writer (the campaign runner appends from the
-parent process only).  Concurrent readers are safe because records are
-immutable once written and opening a store for reading never writes: the
-torn-tail repair and the ``index.json`` refresh both happen inside
-:meth:`RunStore.append`, so a monitoring ``repro report`` cannot corrupt a
-live campaign's store.  ``index.json`` itself is written atomically (temp
-file + ``os.replace``) and, past :data:`INDEX_FLUSH_SMALL` records, only at
-geometrically spaced sizes — call :meth:`RunStore.flush` (or use the store
-as a context manager) to persist it eagerly; a stale or missing index is
-always rebuilt from the JSONL on open.
+* a torn trailing line is not durable yet, and is re-read on the next
+  :meth:`RunStore.refresh`;
+* a line that does not parse, or parses but fails its CRC32 check (disk
+  rot), is never indexed or served.  It is counted in
+  :meth:`RunStore.summary` (``corrupt_lines`` / ``crc_mismatches``), and
+  ``repro store fsck --repair`` quarantines it (:func:`fsck_store`);
+* a duplicate fingerprint (a lease reclaimed from a worker that died after
+  appending but before releasing) resolves latest-record-wins and is
+  counted as ``superseded``.
 
-Multi-writer campaigns (several ``repro worker`` processes appending
-concurrently) use the sharded sibling,
-:class:`repro.campaign.sharded.ShardedRunStore`, which presents the same
-read/write interface over per-(scenario x space) shard files.
+:meth:`RunStore.compact` rewrites every shard without torn tails, damaged
+lines and superseded records.  Compaction and repair are single-writer
+operations: run them while no workers are appending.
+
+Reads are paginated (``outcomes(offset=..., limit=...)``) over a
+deterministic order — shards sorted by key (:data:`LEGACY_KEY` for a
+pre-sharding ``runs.jsonl``), append order within each — and :func:`export_metrics` emits
+a columnar per-candidate view (latency / energy / error arrays keyed by
+scenario, space, strategy and seed) for analysis pipelines.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import re
 import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.envelopes import SearchOutcome, request_fingerprint
-from repro.campaign.errors import AuditLog, ErrorEnvelope
+from repro.campaign.errors import (
+    AuditLog,
+    ErrorEnvelope,
+    append_jsonl_atomic,
+    summarize_audit,
+)
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import atomic_write_text, to_jsonable
 
-#: Name of the append-only record file inside a store directory.
-RUNS_FILENAME = "runs.jsonl"
+#: Subdirectory holding the per-(scenario x space) shard JSONL files.
+SHARDS_DIRNAME = "shards"
+
+#: Subdirectory holding the per-shard audit logs.
+AUDIT_DIRNAME = "audit"
 
 #: Name of the derived fingerprint index inside a store directory.
 INDEX_FILENAME = "index.json"
 
-#: Name of the failure audit log inside a (single-file) store directory.
+#: Root record file of a store written before sharding (read, never appended).
+RUNS_FILENAME = "runs.jsonl"
+
+#: Root audit log of a store written before sharding (read, never appended).
 AUDIT_FILENAME = "audit.jsonl"
 
-#: Stores at or below this many records rewrite ``index.json`` on every
-#: append (cheap, and keeps small stores browsable at all times); larger
-#: stores flush at geometrically spaced sizes plus on :meth:`RunStore.flush`,
-#: so a long campaign writes O(n) index bytes instead of O(n^2).
+#: Shard key of the pre-sharding ``runs.jsonl``; no :func:`shard_key` result
+#: can equal it, because every real key ends in a hash suffix.
+LEGACY_KEY = "runs"
+
+#: Subdirectory where :func:`fsck_store` with ``repair=True`` banishes bad lines.
+QUARANTINE_DIRNAME = "quarantine"
+
+#: Stores up to this many records rewrite ``index.json`` on every append
+#: (cheap, and keeps small stores browsable at all times); larger stores
+#: flush when their size reaches a power of two, plus on
+#: :meth:`RunStore.flush`, so a long campaign writes O(n) index bytes
+#: instead of O(n^2).
 INDEX_FLUSH_SMALL = 256
+
+#: Hex digits of the shard-key hash suffix (collision guard for slugs).
+_SHARD_HASH_LENGTH = 8
 
 
 class StoreError(RuntimeError):
     """A run store's on-disk state is inconsistent."""
-
-
-# Re-exported for backwards compatibility: the crash-safe temp-write+rename
-# now lives with the other serialization primitives (and is shared by the
-# search checkpoint layer), see :mod:`repro.utils.serialization`.
-from repro.utils.serialization import atomic_write_text  # noqa: E402,F401
 
 
 def record_crc(record: Dict[str, Any]) -> int:
@@ -129,115 +156,204 @@ def _record_summary(record: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def shard_key(scenario: str, search_space: str) -> str:
+    """Deterministic shard key of one (scenario, search space) context.
+
+    A readable slug plus a short hash of the exact pair, so two contexts
+    whose names slugify identically still land in different shards, and the
+    routing is stable across processes, platforms and store reopens.
+    """
+    slug = re.sub(r"[^A-Za-z0-9_.-]+", "-", f"{scenario}--{search_space}")
+    slug = slug.strip("-") or "shard"
+    digest = hashlib.sha256(
+        f"{scenario}\x00{search_space}".encode("utf-8")
+    ).hexdigest()[:_SHARD_HASH_LENGTH]
+    return f"{slug}-{digest}"
+
+
+@dataclass
+class _Shard:
+    """In-memory scan state of one shard file."""
+
+    key: str
+    path: Path
+    #: Byte position up to which the file has been durably parsed; a torn
+    #: tail past it is re-examined on the next :meth:`RunStore.refresh`.
+    good_end: int = 0
+    #: Unparseable lines skipped by the scanner.
+    corrupt_lines: int = 0
+    #: Lines that parsed but failed their CRC32 check (disk rot) — counted,
+    #: never indexed, never served; ``fsck_store`` quarantines them.
+    crc_mismatches: int = 0
+    #: ``fingerprint -> (offset, summary)`` in append order (dict ordering).
+    entries: Dict[str, Tuple[int, Dict[str, Any]]] = field(default_factory=dict)
+    #: Records replaced by a later append of the same fingerprint.
+    superseded: int = 0
+
+
 class RunStore:
-    """Fingerprint-keyed persistent collection of search outcomes.
+    """Fingerprint-keyed store of search outcomes, sharded by context.
 
     Parameters
     ----------
     directory:
-        Store directory; created (with parents) by the first append.
-        Existing ``runs.jsonl`` records are indexed immediately.
+        Store root; created by the first append.  Existing shard files (and
+        a pre-sharding ``runs.jsonl``) are indexed immediately.  Opening a
+        store for reading never writes, so a monitoring ``repro report``
+        cannot disturb a live campaign.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        self.runs_path = self.directory / RUNS_FILENAME
+        self.shards_dir = self.directory / SHARDS_DIRNAME
+        self.audit_dir = self.directory / AUDIT_DIRNAME
         self.index_path = self.directory / INDEX_FILENAME
-        #: fingerprint -> (byte offset of the record line, summary dict)
-        self._index: Dict[str, Tuple[int, Dict[str, Any]]] = {}
-        #: End of the last intact record; bytes past it are a torn tail.
-        self._good_end = 0
-        #: Index-persistence state: ``runs.jsonl`` is the rebuildable source
-        #: of truth, so ``index.json`` may lag behind; it is flushed on every
-        #: append while the store is small, at geometrically spaced sizes
-        #: after that, and always by :meth:`flush` / :meth:`close`.
+        self._shards: Dict[str, _Shard] = {}
+        #: fingerprint -> shard key (offsets live in the shard entries).
+        self._routing: Dict[str, str] = {}
         self._index_dirty = False
         self._index_writes = 0
-        self._scan()
-        self._next_index_flush = max(INDEX_FLUSH_SMALL, len(self._index)) * 2
+        self.refresh(full=True)
 
     # ------------------------------------------------------------------ scanning
-    def _scan(self) -> None:
-        """(Re)build the in-memory index from ``runs.jsonl``.
+    def refresh(self, full: bool = False) -> None:
+        """(Re)scan record files, picking up concurrent writers' appends.
 
-        Read-only: a torn trailing line left by an interrupted append is
-        excluded from the index and marked for truncation by the next
-        :meth:`append`, but nothing on disk is touched here.
+        Incremental by default: each known shard is re-read only past its
+        last durable byte, so a refresh inside a polling worker costs the
+        new records, not the whole store.  A shard that *shrank* (an
+        external :meth:`compact`) triggers a full rescan of that shard.
         """
-        self._index.clear()
-        self._good_end = 0
-        if not self.runs_path.exists():
-            return
-        with self.runs_path.open("rb") as handle:
-            offset = 0
-            for line_number, raw in enumerate(handle, start=1):
+        if full:
+            self._shards.clear()
+            self._routing.clear()
+        for key, path in _record_files(self.directory):
+            shard = self._shards.get(key)
+            if shard is None:
+                shard = self._shards[key] = _Shard(key=key, path=path)
+            try:
+                size = path.stat().st_size
+            except OSError:
+                continue
+            if size < shard.good_end:
+                # compacted (or truncated) behind our back — rescan it
+                for fingerprint in shard.entries:
+                    self._routing.pop(fingerprint, None)
+                shard = self._shards[key] = _Shard(key=key, path=path)
+            if size > shard.good_end:
+                self._scan_shard(shard)
+
+    def _scan_shard(self, shard: _Shard) -> None:
+        """Parse records from ``good_end`` to the durable end of a shard."""
+        with shard.path.open("rb") as handle:
+            handle.seek(shard.good_end)
+            for raw in handle:
                 if not raw.endswith(b"\n"):
-                    # torn tail from an interrupted append — a record is only
-                    # durable once its newline hit the disk, even if the
-                    # flushed prefix happens to parse as complete JSON
-                    break
+                    break  # torn tail: not durable (yet) — re-read next time
+                offset = shard.good_end
+                shard.good_end += len(raw)
                 try:
                     record = json.loads(raw.decode("utf-8"))
                     fingerprint = str(record["fingerprint"])
                     summary = _record_summary(record)
-                except (ValueError, KeyError, UnicodeDecodeError) as error:
-                    raise StoreError(
-                        f"{self.runs_path}:{line_number}: corrupt record "
-                        f"({error}); run 'repro store fsck --store "
-                        f"{self.directory} --repair' to quarantine it"
-                    ) from error
+                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                    # a line mangled by a writer killed mid-append; skip it
+                    # (compact() drops it, fsck quarantines it) but keep
+                    # scanning — later records are intact
+                    shard.corrupt_lines += 1
+                    continue
                 if not verify_record_crc(record):
-                    # disk rot: the line parses but its checksum disagrees —
-                    # refuse to serve it rather than hand back silently
-                    # corrupted search results
+                    # parses but the checksum disagrees: disk rot.  Never
+                    # serve it; fsck quarantines the line.
+                    shard.crc_mismatches += 1
+                    continue
+                if fingerprint in shard.entries:
+                    shard.superseded += 1
+                    shard.entries.pop(fingerprint)  # latest record wins
+                previous = self._routing.get(fingerprint)
+                if previous is not None and previous != shard.key:
                     raise StoreError(
-                        f"{self.runs_path}:{line_number}: CRC mismatch on "
-                        f"record {fingerprint!r}; run 'repro store fsck "
-                        f"--store {self.directory} --repair' to quarantine it"
+                        f"fingerprint {fingerprint!r} appears in shards "
+                        f"{previous!r} and {shard.key!r}; the store needs "
+                        f"manual repair"
                     )
-                if fingerprint in self._index:
-                    raise StoreError(
-                        f"{self.runs_path}:{line_number}: duplicate fingerprint "
-                        f"{fingerprint!r}"
-                    )
-                self._index[fingerprint] = (offset, summary)
-                offset += len(raw)
-                self._good_end = offset
+                shard.entries[fingerprint] = (offset, summary)
+                self._routing[fingerprint] = shard.key
 
+    # ------------------------------------------------------------------ writing
+    def append(
+        self, outcome: SearchOutcome, fingerprint: Optional[str] = None
+    ) -> str:
+        """Persist one outcome into its (scenario x space) shard.
+
+        The fingerprint defaults to the outcome's own request fingerprint.
+        Appending a fingerprint this instance already sees raises
+        (re-running a finished cell is a campaign-runner bug); a racing
+        append from a *different* process (a reclaimed lease whose original
+        holder silently finished) lands as a superseded duplicate instead,
+        resolved latest-wins on scan and dropped by :meth:`compact`.
+        """
+        fingerprint = fingerprint or request_fingerprint(outcome.request)
+        if fingerprint in self._routing:
+            raise StoreError(
+                f"fingerprint {fingerprint!r} is already stored in {self.directory}"
+            )
+        record = {"fingerprint": fingerprint, "outcome": to_jsonable(outcome.to_dict())}
+        record["crc32"] = record_crc(record)
+        summary = _record_summary(record)
+        key = shard_key(summary["scenario"], summary["search_space"])
+        shard = self._shards.get(key)
+        if shard is None:
+            shard = self._shards[key] = _Shard(
+                key=key, path=self.shards_dir / f"{key}.jsonl"
+            )
+        offset = append_jsonl_atomic(shard.path, record)
+        if offset == shard.good_end:  # no other write slipped in between
+            shard.entries[fingerprint] = (offset, summary)
+            shard.good_end = offset + len(
+                (json.dumps(record, sort_keys=False) + "\n").encode("utf-8")
+            )
+            self._routing[fingerprint] = key
+        else:
+            # another writer appended (or a dead one left a fragment) since
+            # our last scan: rescan the gap so the in-memory view stays
+            # consistent with the file
+            self._scan_shard(shard)
+        self._index_dirty = True
+        count = len(self._routing)
+        if count <= INDEX_FLUSH_SMALL or count & (count - 1) == 0:
+            self._write_index()
+        return fingerprint
+
+    # ------------------------------------------------------------------ index
     def _write_index(self) -> None:
         payload = {
             "schema_version": 1,
+            "shards": {
+                shard.key: {
+                    "path": shard.path.relative_to(self.directory).as_posix(),
+                    "records": len(shard.entries),
+                    "corrupt_lines": shard.corrupt_lines,
+                    "crc_mismatches": shard.crc_mismatches,
+                    "superseded": shard.superseded,
+                }
+                for shard in self._shards.values()
+            },
             "records": {
-                fingerprint: dict(summary, offset=offset)
-                for fingerprint, (offset, summary) in self._index.items()
+                fingerprint: dict(
+                    self._shards[key].entries[fingerprint][1],
+                    shard=key,
+                    offset=self._shards[key].entries[fingerprint][0],
+                )
+                for fingerprint, key in self._routing.items()
             },
         }
-        # temp file + os.replace: a crash mid-write can no longer leave a
-        # corrupt index.json behind (the JSONL rebuild would mask it, but a
-        # half-written index should never exist in the first place)
         atomic_write_text(
             self.index_path,
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
         self._index_writes += 1
         self._index_dirty = False
-
-    def _maybe_write_index(self) -> None:
-        """Flush the index now or defer it, depending on store size.
-
-        Every append persists the index while the store holds at most
-        :data:`INDEX_FLUSH_SMALL` records; past that, flushes happen when
-        the store doubles in size (plus on :meth:`flush`/:meth:`close`),
-        keeping total index-write cost linear in campaign length instead of
-        quadratic.  A stale index is harmless: opening a store always
-        rebuilds from ``runs.jsonl``.
-        """
-        count = len(self._index)
-        if count <= INDEX_FLUSH_SMALL or count >= self._next_index_flush:
-            self._write_index()
-            self._next_index_flush = max(INDEX_FLUSH_SMALL, count) * 2
-        else:
-            self._index_dirty = True
 
     def flush(self) -> None:
         """Persist the index if any appends deferred it."""
@@ -259,139 +375,405 @@ class RunStore:
         """How many times ``index.json`` was written by this instance."""
         return self._index_writes
 
-    # ------------------------------------------------------------------ writing
-    def append(
-        self, outcome: SearchOutcome, fingerprint: Optional[str] = None
-    ) -> str:
-        """Persist one outcome and return its fingerprint.
-
-        The fingerprint defaults to the outcome's own request fingerprint;
-        appending a fingerprint the store already holds raises (re-running a
-        finished cell is a campaign-runner bug, not a storage event).
-        """
-        fingerprint = fingerprint or request_fingerprint(outcome.request)
-        if fingerprint in self._index:
-            raise StoreError(
-                f"fingerprint {fingerprint!r} is already stored in {self.directory}"
-            )
-        record = {"fingerprint": fingerprint, "outcome": to_jsonable(outcome.to_dict())}
-        record["crc32"] = record_crc(record)
-        # binary mode end to end: byte offsets stay exact on every platform
-        line = (json.dumps(record, sort_keys=False) + "\n").encode("utf-8")
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if self.runs_path.exists() and self.runs_path.stat().st_size > self._good_end:
-            with self.runs_path.open("r+b") as handle:
-                handle.truncate(self._good_end)  # drop a torn tail before appending
-        with self.runs_path.open("ab") as handle:
-            offset = handle.tell()
-            handle.write(line)
-            handle.flush()
-        self._index[fingerprint] = (offset, _record_summary(record))
-        self._good_end = offset + len(line)
-        self._maybe_write_index()
-        return fingerprint
-
     # ------------------------------------------------------------------ reading
+    def _ordered_entries(self) -> List[Tuple[str, _Shard, int]]:
+        """``(fingerprint, shard, offset)`` in deterministic global order."""
+        ordered: List[Tuple[str, _Shard, int]] = []
+        for key in sorted(self._shards):
+            shard = self._shards[key]
+            for fingerprint, (offset, _) in shard.entries.items():
+                ordered.append((fingerprint, shard, offset))
+        return ordered
+
     def fingerprints(self) -> List[str]:
-        """Stored fingerprints, in append order."""
-        return list(self._index)
+        """Stored fingerprints, in the deterministic read order."""
+        return [fingerprint for fingerprint, _, _ in self._ordered_entries()]
 
     def __contains__(self, fingerprint: object) -> bool:
-        return isinstance(fingerprint, str) and fingerprint in self._index
+        return isinstance(fingerprint, str) and fingerprint in self._routing
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._routing)
 
     def get(self, fingerprint: str) -> SearchOutcome:
-        """Load one stored outcome by fingerprint (O(1) via the offset index)."""
+        """Load one stored outcome (O(1) via the shard offset index)."""
         try:
-            offset, _ = self._index[fingerprint]
+            shard = self._shards[self._routing[fingerprint]]
+            offset, _ = shard.entries[fingerprint]
         except KeyError:
             raise KeyError(
                 f"fingerprint {fingerprint!r} is not stored in {self.directory}"
             ) from None
-        with self.runs_path.open("rb") as handle:
-            handle.seek(offset)
-            record = json.loads(handle.readline().decode("utf-8"))
-        return SearchOutcome.from_dict(record["outcome"])
+        return _read_outcome(shard.path, offset)
 
     def outcomes(
         self, offset: int = 0, limit: Optional[int] = None
     ) -> Iterator[SearchOutcome]:
-        """Stream stored outcomes in append order, optionally paginated.
+        """Stream stored outcomes, paginated over the deterministic order.
 
-        ``offset``/``limit`` select a window of the append order (the same
-        pagination contract as :meth:`ShardedRunStore.outcomes
-        <repro.campaign.sharded.ShardedRunStore.outcomes>`), so large
-        stores can be read in bounded slices.  Stops at the last intact
-        record, so a torn tail (or a record a live writer is flushing right
-        now) is never half-parsed.
+        The order is stable across reopens, so ``offset``/``limit`` windows
+        partition the store consistently for paginated readers.
         """
         if offset < 0 or (limit is not None and limit < 0):
             raise ValueError(
                 f"offset/limit must be non-negative, got {offset}/{limit}"
             )
-        if not self.runs_path.exists() or limit == 0:
-            return
-        consumed = 0
-        position = 0
-        yielded = 0
-        with self.runs_path.open("rb") as handle:
-            for raw in handle:
-                consumed += len(raw)
-                if consumed > self._good_end:
-                    return
-                position += 1
-                if position <= offset:
-                    continue
-                yield SearchOutcome.from_dict(
-                    json.loads(raw.decode("utf-8"))["outcome"]
-                )
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
+        entries = self._ordered_entries()
+        window = entries[offset:] if limit is None else entries[offset:offset + limit]
+        for _, shard, position in window:
+            yield _read_outcome(shard.path, position)
 
     def records(self) -> Dict[str, Dict[str, Any]]:
-        """Fingerprint -> summary mapping (scenario, strategy, space, seed, size)."""
+        """Fingerprint -> summary (scenario, strategy, space, seed, size)."""
         return {
-            fingerprint: dict(summary)
-            for fingerprint, (_, summary) in self._index.items()
+            fingerprint: dict(shard.entries[fingerprint][1])
+            for fingerprint, shard, _ in self._ordered_entries()
         }
 
+    def shard_keys(self) -> List[str]:
+        """Sorted keys of every shard currently holding records."""
+        return sorted(key for key, shard in self._shards.items() if shard.entries)
+
+    @property
+    def damaged_lines(self) -> int:
+        """Corrupt or CRC-mismatched lines the scan skipped (never served)."""
+        return sum(s.corrupt_lines + s.crc_mismatches for s in self._shards.values())
+
     def summary(self) -> Dict[str, Any]:
-        """One-line store overview (used by ``repro list --store``)."""
+        """Store overview (used by ``repro list --store`` and reports)."""
         records = self.records()
         return {
             "directory": str(self.directory),
             "num_runs": len(records),
+            "num_shards": len(self.shard_keys()),
             "scenarios": sorted({r["scenario"] for r in records.values()}),
             "strategies": sorted({r["strategy"] for r in records.values()}),
             "search_spaces": sorted({r["search_space"] for r in records.values()}),
             "total_wall_time_s": sum(r["wall_time_s"] for r in records.values()),
+            "superseded": sum(s.superseded for s in self._shards.values()),
+            "corrupt_lines": sum(s.corrupt_lines for s in self._shards.values()),
+            "crc_mismatches": sum(s.crc_mismatches for s in self._shards.values()),
+            "dead_letter": _dead_letter_count(self.directory),
+            "audit": summarize_audit(self.iter_audit_records()),
         }
 
     # ------------------------------------------------------------------ audit
-    @property
-    def audit(self) -> AuditLog:
-        """The store's failure audit log (``audit.jsonl``)."""
-        return AuditLog(self.directory / AUDIT_FILENAME)
+    def audit_log(self, scenario: str, search_space: str) -> AuditLog:
+        """The audit log of one (scenario x search space) shard."""
+        key = shard_key(scenario, search_space)
+        return AuditLog(self.audit_dir / f"{key}.jsonl")
 
-    def record_error(self, envelope: ErrorEnvelope, **_routing: Any) -> None:
-        """Append one failure envelope to the audit log.
+    def record_error(
+        self,
+        envelope: ErrorEnvelope,
+        *,
+        scenario: Optional[str] = None,
+        search_space: Optional[str] = None,
+    ) -> None:
+        """Append a failure envelope to its shard's audit log.
 
-        Routing keywords (``scenario=`` / ``search_space=``) are accepted
-        for interface parity with the sharded store and ignored here — a
-        single-file store has a single audit log.
+        Falls back to the envelope's own ``context`` for routing, and to a
+        catch-all ``_unrouted`` log when neither names the shard.
         """
-        self.audit.append(envelope)
+        scenario = scenario or envelope.context.get("scenario")
+        search_space = search_space or envelope.context.get("search_space")
+        if scenario and search_space:
+            log = self.audit_log(str(scenario), str(search_space))
+        else:
+            log = AuditLog(self.audit_dir / "_unrouted.jsonl")
+        log.append(envelope)
+
+    def _audit_logs(self) -> Iterator[AuditLog]:
+        """The pre-sharding root log first, then the per-shard logs."""
+        yield AuditLog(self.directory / AUDIT_FILENAME)
+        if self.audit_dir.is_dir():
+            for path in sorted(self.audit_dir.glob("*.jsonl")):
+                yield AuditLog(path)
 
     def audit_records(self) -> List[ErrorEnvelope]:
-        """Every recorded failure envelope, in append order."""
-        return self.audit.records()
+        """Every failure envelope across all audit logs."""
+        return list(self.iter_audit_records())
 
     def iter_audit_records(self) -> Iterator[ErrorEnvelope]:
-        """Stream failure envelopes without materialising the full list."""
-        return self.audit.iter_records()
+        """Stream failure envelopes across all audit logs.
+
+        One record is in memory at a time, so ``repro report`` stays flat
+        even over campaigns whose audit logs hold thousands of retries.
+        """
+        for log in self._audit_logs():
+            yield from log.iter_records()
+
+    # ------------------------------------------------------------------ maintenance
+    def compact(self) -> Dict[str, Any]:
+        """Rewrite every shard, dropping torn tails and superseded records.
+
+        Each shard is rebuilt into a temp file (intact latest-wins records
+        only, original order) and atomically replaced, so a crash mid-compact
+        leaves the old shard untouched.  **Single-writer only**: run while
+        no workers are appending.  Returns per-store statistics.
+        """
+        self.refresh()
+        stats = {
+            "shards": len(self._shards),
+            "kept": 0,
+            "dropped_superseded": 0,
+            "dropped_corrupt_lines": 0,
+            "dropped_crc_mismatches": 0,
+            "dropped_torn_bytes": 0,
+        }
+        for shard in self._shards.values():
+            stats["dropped_superseded"] += shard.superseded
+            stats["dropped_corrupt_lines"] += shard.corrupt_lines
+            stats["dropped_crc_mismatches"] += shard.crc_mismatches
+            try:
+                size = shard.path.stat().st_size
+            except OSError:
+                size = shard.good_end
+            stats["dropped_torn_bytes"] += max(0, size - shard.good_end)
+            lines: List[bytes] = []
+            with shard.path.open("rb") as handle:
+                for offset, _ in sorted(shard.entries.values(), key=lambda e: e[0]):
+                    handle.seek(offset)
+                    lines.append(handle.readline())
+            tmp = shard.path.with_name(shard.path.name + f".tmp.{os.getpid()}")
+            with tmp.open("wb") as handle:
+                handle.writelines(lines)
+            os.replace(tmp, shard.path)
+            stats["kept"] += len(lines)
+        self.refresh(full=True)
+        self._write_index()
+        return stats
 
     def __repr__(self) -> str:
-        return f"RunStore({str(self.directory)!r}, runs={len(self)})"
+        return (
+            f"RunStore({str(self.directory)!r}, runs={len(self)}, "
+            f"shards={len(self.shard_keys())})"
+        )
+
+
+# ---------------------------------------------------------------------- helpers
+
+
+def _record_files(directory: Path) -> Iterator[Tuple[str, Path]]:
+    """``(shard key, path)`` of every record file of a store directory."""
+    legacy = directory / RUNS_FILENAME
+    if legacy.exists():
+        yield LEGACY_KEY, legacy
+    shards_dir = directory / SHARDS_DIRNAME
+    if shards_dir.is_dir():
+        for path in sorted(shards_dir.glob("*.jsonl")):
+            yield path.stem, path
+
+
+def _read_outcome(path: Path, offset: int) -> SearchOutcome:
+    """Decode the record line starting at ``offset`` of a shard file."""
+    with path.open("rb") as handle:
+        handle.seek(offset)
+        record = json.loads(handle.readline().decode("utf-8"))
+    return SearchOutcome.from_dict(record["outcome"])
+
+
+def open_store(directory: Union[str, Path]) -> RunStore:
+    """Open a store directory (either layout); same as ``RunStore(directory)``."""
+    return RunStore(directory)
+
+
+def _dead_letter_count(directory: Union[str, Path]) -> int:
+    """Cells currently buried in the store's dead-letter queue."""
+    from repro.campaign.supervisor import DeadLetterQueue
+
+    return len(DeadLetterQueue(directory))
+
+
+def _fsck_file(path: Path) -> Dict[str, Any]:
+    """Classify every line of one store data file at the raw-byte level.
+
+    Returns the original raw bytes of each *keepable* line (``intact`` —
+    CRC verified — and ``legacy`` — pre-CRC records with nothing to verify)
+    plus the bytes to quarantine (``corrupt`` unparseable lines,
+    ``crc_mismatch`` rotten records, and a torn unterminated tail).
+    Keepable bytes are returned exactly as read, so a repair rewrite is
+    byte-identical for every record it preserves.
+    """
+    counts = {
+        "intact": 0,
+        "legacy": 0,
+        "crc_mismatch": 0,
+        "corrupt": 0,
+        "torn_bytes": 0,
+    }
+    keep: List[bytes] = []
+    quarantine: List[bytes] = []
+    data = path.read_bytes()
+    offset = 0
+    end = len(data)
+    while offset < end:
+        newline = data.find(b"\n", offset)
+        if newline < 0:
+            # unterminated tail: a writer died mid-append (or the write was
+            # torn by the kernel).  Offline — which is when fsck runs — that
+            # is damage, not work in progress.
+            counts["torn_bytes"] = end - offset
+            quarantine.append(data[offset:end])
+            break
+        raw = data[offset : newline + 1]
+        offset = newline + 1
+        try:
+            record = json.loads(raw.decode("utf-8"))
+            record["fingerprint"]
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            counts["corrupt"] += 1
+            quarantine.append(raw)
+            continue
+        if "crc32" not in record:
+            counts["legacy"] += 1
+            keep.append(raw)
+        elif verify_record_crc(record):
+            counts["intact"] += 1
+            keep.append(raw)
+        else:
+            counts["crc_mismatch"] += 1
+            quarantine.append(raw)
+    return {"counts": counts, "keep": keep, "quarantine": quarantine}
+
+
+def fsck_store(
+    directory: Union[str, Path], repair: bool = False
+) -> Dict[str, Any]:
+    """Verify (and optionally repair) the integrity of a store on disk.
+
+    Scans every record file — ``shards/*.jsonl`` and a pre-sharding
+    ``runs.jsonl`` — raw, classifying each line as *intact* (CRC verified),
+    *legacy* (pre-CRC, nothing to verify), *crc_mismatch* (parses, checksum
+    disagrees — disk rot), *corrupt* (unparseable) or a *torn* unterminated
+    tail.  ``repro store fsck`` is the CLI face of this function.
+
+    With ``repair=True`` every bad line is appended to a sidecar under
+    ``quarantine/`` (named after its source file, so nothing is ever
+    destroyed), each damaged file is atomically rewritten keeping the
+    **original raw bytes** of its intact and legacy lines — byte-identical
+    preservation — and the index is rebuilt from the repaired files.
+    **Single-writer only**: repair while no workers are appending.
+
+    Returns a report with per-file and total counts, ``clean`` (no issues
+    found), ``repaired`` and ``quarantined_lines``.
+    """
+    directory = Path(directory)
+    totals = {
+        "intact": 0,
+        "legacy": 0,
+        "crc_mismatch": 0,
+        "corrupt": 0,
+        "torn_bytes": 0,
+    }
+    report: Dict[str, Any] = {
+        "directory": str(directory),
+        "files": {},
+        "repaired": False,
+        "quarantined_lines": 0,
+    }
+    damaged: List[Tuple[Path, Dict[str, Any]]] = []
+    for _, path in _record_files(directory):
+        result = _fsck_file(path)
+        relative = path.relative_to(directory).as_posix()
+        report["files"][relative] = result["counts"]
+        for name in totals:
+            totals[name] += result["counts"][name]
+        if result["quarantine"]:
+            damaged.append((path, result))
+    report.update(totals)
+    report["clean"] = (
+        totals["crc_mismatch"] == 0
+        and totals["corrupt"] == 0
+        and totals["torn_bytes"] == 0
+    )
+    if not repair or not damaged:
+        return report
+    quarantine_dir = directory / QUARANTINE_DIRNAME
+    quarantine_dir.mkdir(parents=True, exist_ok=True)
+    for path, result in damaged:
+        relative = path.relative_to(directory).as_posix()
+        sidecar = quarantine_dir / relative.replace("/", "__")
+        with sidecar.open("ab") as handle:
+            for raw in result["quarantine"]:
+                # terminate the torn fragment so the sidecar stays
+                # line-oriented across repeated fsck runs
+                handle.write(raw if raw.endswith(b"\n") else raw + b"\n")
+                report["quarantined_lines"] += 1
+        tmp = path.with_name(path.name + f".fsck.{os.getpid()}")
+        with tmp.open("wb") as handle:
+            handle.writelines(result["keep"])
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    report["repaired"] = True
+    report["quarantine_dir"] = str(quarantine_dir)
+    RunStore(directory)._write_index()  # rebuilt from the repaired files
+    return report
+
+
+def merge_stores(sources: Sequence[RunStore], dest: RunStore) -> Dict[str, int]:
+    """Copy every record the destination is missing, keyed by fingerprint.
+
+    Fingerprints already present in ``dest`` are skipped (idempotent —
+    re-merging is a no-op), so merging is how per-machine stores
+    consolidate.
+    """
+    merged = 0
+    skipped = 0
+    for source in sources:
+        for fingerprint in source.fingerprints():
+            if fingerprint in dest:
+                skipped += 1
+                continue
+            dest.append(source.get(fingerprint), fingerprint=fingerprint)
+            merged += 1
+    dest.flush()
+    return {"merged": merged, "skipped": skipped}
+
+
+def export_metrics(store: RunStore) -> Dict[str, Any]:
+    """Columnar per-candidate metric arrays from a run store.
+
+    One group per (scenario, search space, strategy, seed) — the campaign
+    grid axes — each carrying parallel ``latency_s`` / ``energy_j`` /
+    ``error_percent`` arrays over every stored candidate of that cell, in
+    evaluation order, plus the contributing fingerprints.  This is the
+    analysis/dashboard feed: loading it needs no envelope decoding at all.
+    """
+    groups: Dict[Tuple[str, str, str, Any], Dict[str, Any]] = {}
+    for outcome in store.outcomes():
+        request = outcome.request
+        key = (
+            outcome.scenario.name,
+            request.search_space,
+            outcome.label,
+            request.seed,
+        )
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = {
+                "scenario": key[0],
+                "search_space": key[1],
+                "strategy": key[2],
+                "seed": key[3],
+                "fingerprints": [],
+                "latency_s": [],
+                "energy_j": [],
+                "error_percent": [],
+            }
+        group["fingerprints"].append(request_fingerprint(request))
+        for candidate in outcome.candidates:
+            group["latency_s"].append(float(candidate.latency_s))
+            group["energy_j"].append(float(candidate.energy_j))
+            group["error_percent"].append(float(candidate.error_percent))
+    ordered = [
+        groups[key]
+        for key in sorted(groups, key=lambda k: tuple(str(part) for part in k))
+    ]
+    return {
+        "schema_version": 1,
+        "num_groups": len(ordered),
+        "num_candidates": sum(len(g["latency_s"]) for g in ordered),
+        "groups": ordered,
+    }

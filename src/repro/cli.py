@@ -10,10 +10,10 @@ The subcommands mirror the library's layers (also reachable as
   by scenario/strategy name, print its summary, optionally persist it;
 * ``repro campaign`` — fan a scenario x search-space x strategy x seed grid
   out through a pluggable executor (``--executor serial | process-pool |
-  asyncio | pull-worker``) into a resumable run store;
+  pull-worker``) into a resumable run store;
 * ``repro worker`` — join a distributed campaign by pulling cells from a
-  shared sharded store directory (the ``pull-worker`` protocol; start any
-  number, on any machine sharing the filesystem);
+  shared store directory (the ``pull-worker`` protocol; start any number,
+  on any machine sharing the filesystem);
 * ``repro store`` — maintenance: ``compact`` (drop torn tails and
   superseded records), ``export`` (columnar per-candidate metrics),
   ``merge`` (consolidate stores by fingerprint) and ``fsck`` (verify
@@ -57,17 +57,15 @@ from repro.campaign import (
     CampaignSpec,
     CircuitOpenError,
     DeadLetterQueue,
-    ErrorEnvelope,
     RunStore,
     StoreError,
+    export_metrics,
     fsck_store,
     merge_stores,
-    open_store,
     run_campaign,
     run_worker,
     summarize_audit,
 )
-from repro.campaign.sharded import ShardedRunStore, export_metrics
 from repro.core.results import SearchResult
 from repro.core.runtime import ThresholdAnalysis
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
@@ -213,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help=f"execution back-end {EXECUTORS.names()} "
                                       "(default: serial for --workers 1, "
                                       "process-pool otherwise)")
-    campaign_parser.add_argument("--sharded", action="store_true",
-                                 help="use a sharded (multi-writer) store; "
-                                      "required by --executor pull-worker")
     campaign_parser.add_argument("--on-error", choices=("fail", "continue"),
                                  default="fail",
                                  help="stop on the first failed cell (fail, "
@@ -287,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="pull and execute campaign cells from a shared store directory",
         description="Join a distributed campaign: claim unresolved cells from "
                     "the manifest published in --store via crash-safe lease "
-                    "files, execute them, and append outcomes to the sharded "
-                    "store. Start any number of workers (on any machine "
+                    "files, execute them, and append outcomes to the store. "
+                    "Start any number of workers (on any machine "
                     "sharing the filesystem); each exits once every cell is "
                     "stored or permanently failed.",
     )
@@ -306,15 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser = commands.add_parser(
         "store",
         help="run-store maintenance: compact, export metrics, merge",
-        description="Operate on run stores (single-file or sharded; the "
-                    "format is auto-detected).",
+        description="Operate on run stores.",
     )
     store_commands = store_parser.add_subparsers(dest="store_command",
                                                  metavar="operation")
     compact_parser = store_commands.add_parser(
         "compact",
         help="rewrite shards dropping torn tails and superseded records",
-        description="Rewrite every shard of a sharded store keeping only the "
+        description="Rewrite every record file of a store keeping only the "
                     "latest intact record per fingerprint. Run only while no "
                     "workers are active.",
     )
@@ -355,19 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="source store directories")
     merge_parser.add_argument("--into", required=True, metavar="DIR",
                               help="destination store directory")
-    merge_parser.add_argument("--sharded", action="store_true",
-                              help="create the destination sharded when it "
-                                   "does not exist yet")
-
-    run_cell_parser = commands.add_parser(
-        "run-cell",
-        help=argparse.SUPPRESS,
-        description="Internal: read one SearchRequest JSON from stdin, run "
-                    "it, write the outcome JSON to stdout (or an error "
-                    "envelope to stderr, exit 3). Used by the asyncio "
-                    "executor.",
-    )
-    del run_cell_parser  # no arguments; declared for the help machinery
 
     report_parser = commands.add_parser(
         "report",
@@ -453,12 +434,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print(f"wireless technologies: {', '.join(WIRELESS_TECHNOLOGIES.names())}")
     print(f"acquisitions: {', '.join(ACQUISITIONS.names())}")
     if args.store:
-        store = open_store(args.store)
+        store = RunStore(args.store)
         overview = store.summary()
-        extra = (f" in {overview['num_shards']} shards"
-                 if overview.get("num_shards") is not None else "")
-        print(f"\nstore {overview['directory']}: {overview['num_runs']} runs"
-              f"{extra}, {overview['total_wall_time_s']:.1f}s total search time")
+        print(f"\nstore {overview['directory']}: {overview['num_runs']} runs "
+              f"in {overview['num_shards']} shards, "
+              f"{overview['total_wall_time_s']:.1f}s total search time")
         rows = [
             [fp, r["scenario"], r["search_space"], r["strategy"],
              "-" if r["seed"] is None else r["seed"], r["num_candidates"]]
@@ -582,9 +562,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if not args.spec and not args.scenario:
             return 0  # re-admit only; a later campaign/worker picks them up
     spec = _spec_from_args(args)
-    if args.executor == "pull-worker" and not args.sharded:
-        args.sharded = True  # pull workers need the multi-writer format
-    store = open_store(args.store, sharded=True if args.sharded else None)
+    store = RunStore(args.store)
+    if store.damaged_lines:
+        print(f"repro campaign: {store.directory} holds {store.damaged_lines} "
+              f"damaged line(s) that are not served; run 'repro store fsck "
+              f"--store {store.directory} --repair' to quarantine them",
+              file=sys.stderr)
     stored = store.records()  # one snapshot for labelling every skipped cell
 
     def progress(done: int, total: int, fingerprint: str, outcome) -> None:
@@ -647,7 +630,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    store = open_store(args.store)
+    store = RunStore(args.store)
     if len(store) == 0:
         print(f"store {store.directory} holds no runs", file=sys.stderr)
         return 1
@@ -754,7 +737,7 @@ def _select_served_model(args: argparse.Namespace, outcomes):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    store = open_store(args.store)
+    store = RunStore(args.store)
     selection = _select_served_model(args, list(store.outcomes()))
     if selection is None:
         print(f"repro serve: store {store.directory} yields no Pareto "
@@ -888,21 +871,14 @@ def _cmd_store(args: argparse.Namespace) -> int:
             return 1
         return 0
     if args.store_command == "compact":
-        store = open_store(args.store)
-        if not isinstance(store, ShardedRunStore):
-            print(f"repro store compact: {store.directory} is a single-file "
-                  f"store; compaction applies to sharded stores",
-                  file=sys.stderr)
-            return 2
-        stats = store.compact()
+        stats = RunStore(args.store).compact()
         print(f"compacted {stats['shards']} shard(s): {stats['kept']} records "
               f"kept, {stats['dropped_superseded']} superseded and "
               f"{stats['dropped_corrupt_lines']} corrupt line(s) dropped, "
               f"{stats['dropped_torn_bytes']} torn byte(s) trimmed")
         return 0
     if args.store_command == "export":
-        store = open_store(args.store)
-        payload = export_metrics(store)
+        payload = export_metrics(RunStore(args.store))
         if args.out:
             path = dump_json(payload, args.out)
             print(f"exported {payload['num_candidates']} candidate(s) in "
@@ -911,24 +887,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     # merge
-    dest = open_store(args.into, sharded=True if args.sharded else None)
-    sources = [open_store(source) for source in args.sources]
-    stats = merge_stores(sources, dest)
+    dest = RunStore(args.into)
+    stats = merge_stores([RunStore(source) for source in args.sources], dest)
     print(f"merged {stats['merged']} record(s) into {dest.directory} "
           f"({stats['skipped']} already present)")
-    return 0
-
-
-def _cmd_run_cell(args: argparse.Namespace) -> int:
-    """Internal executor plumbing: one cell over stdin/stdout pipes."""
-    try:
-        request = SearchRequest.from_dict(json.loads(sys.stdin.read()))
-        outcome = run_search(request)
-    except Exception as error:  # noqa: BLE001 - enveloped for the parent
-        envelope = ErrorEnvelope.from_exception(error)
-        print(json.dumps(envelope.to_dict()), file=sys.stderr)
-        return 3
-    print(json.dumps(to_jsonable(outcome.to_dict())))
     return 0
 
 
@@ -938,7 +900,6 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "worker": _cmd_worker,
     "store": _cmd_store,
-    "run-cell": _cmd_run_cell,
     "report": _cmd_report,
     "serve": _cmd_serve,
 }

@@ -112,18 +112,27 @@ def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> int:
     with ``O_APPEND`` (atomic with respect to the file offset on POSIX),
     wrapped in an advisory ``flock`` where available so concurrent appends
     from workers on one machine never interleave.  Returns the byte offset
-    the line was written at.  Used by the campaign audit log, the sharded
-    run stores and the resilience health log.
+    the line was written at.  Used by the campaign audit log, the run
+    store and the resilience health log.
+
+    A file that does not end in a newline holds a dead writer's torn
+    fragment; the fragment's line is ended first, so this record lands on
+    a line of its own instead of fusing onto (and dying with) the fragment.
+    No byte is destroyed: readers skip the fragment as one corrupt line.
     """
     path = Path(path)
     line = (json.dumps(payload, sort_keys=False) + "\n").encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(str(path), os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+    fd = os.open(str(path), os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
     try:
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)
         try:
             offset = os.lseek(fd, 0, os.SEEK_END)
+            os.lseek(fd, max(0, offset - 1), os.SEEK_SET)
+            if offset and os.read(fd, 1) != b"\n":
+                os.write(fd, b"\n")  # O_APPEND: lands at the end regardless
+                offset += 1
             _maybe_inject_append_fault(fd, path, line)
             os.write(fd, line)
         finally:

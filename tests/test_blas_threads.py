@@ -134,7 +134,7 @@ def test_candidates_are_identical_across_blas_threads_and_executors(tmp_path):
         ),
         python(
             ["-m", "repro", "campaign", *CAMPAIGN_FLAGS, "--store", str(pulled),
-             "--executor", "pull-worker", "--sharded", "--workers", "2", "--poll", "0.1"],
+             "--executor", "pull-worker", "--workers", "2", "--poll", "0.1"],
             fresh_env(),
         ),
     ]  # fmt: skip

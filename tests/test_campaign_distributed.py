@@ -1,4 +1,4 @@
-"""Distributed campaign service: sharded stores, leases, workers, executors."""
+"""Distributed campaign service: the sharded store, leases, workers, executors."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.api.session import run_search
 from repro.campaign import (
     CampaignSpec,
     RunStore,
-    ShardedRunStore,
     StoreError,
     merge_stores,
     open_store,
@@ -32,7 +31,7 @@ from repro.campaign.errors import (
 from repro.campaign.executors import EXECUTORS, resolve_executor
 from repro.campaign.leases import LeaseBoard
 from repro.campaign.manifest import CampaignManifest, resolve_backoff
-from repro.campaign.sharded import export_metrics, shard_key
+from repro.campaign.store import export_metrics, shard_key
 
 #: Budgets small enough that one run is milliseconds.
 FAST = dict(
@@ -80,12 +79,12 @@ def _metric_rows(store):
 
 class TestShardedStore:
     def test_routing_is_deterministic_across_reopen(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         fingerprints = [
             store.append(run_search(_request(seed=seed))) for seed in (0, 1, 2)
         ]
         keys = store.shard_keys()
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == store.fingerprints()
         assert reopened.shard_keys() == keys
         for fingerprint in fingerprints:
@@ -95,22 +94,22 @@ class TestShardedStore:
         assert shard_key("a/b", "s") != shard_key("a/b", "t")
 
     def test_cells_route_to_per_context_shards(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         store.append(run_search(_request(scenario="wifi-3mbps/jetson-tx2-gpu")))
         store.append(run_search(_request(scenario="lte-3mbps/jetson-tx2-gpu")))
         assert len(store.shard_keys()) == 2
         assert len(store) == 2
 
     def test_duplicate_append_raises(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         outcome = run_search(_request())
         store.append(outcome)
         with pytest.raises(StoreError, match="already stored"):
             store.append(outcome)
 
     def test_refresh_sees_other_writers(self, tmp_path):
-        writer = ShardedRunStore(tmp_path / "store")
-        reader = ShardedRunStore(tmp_path / "store")
+        writer = RunStore(tmp_path / "store")
+        reader = RunStore(tmp_path / "store")
         fingerprint = writer.append(run_search(_request()))
         assert fingerprint not in reader
         reader.refresh()
@@ -118,13 +117,13 @@ class TestShardedStore:
         assert reader.get(fingerprint).request.fingerprint() == fingerprint
 
     def test_torn_tail_in_shard_is_ignored_then_compacted(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         fingerprint = store.append(run_search(_request()))
         shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
         with shard_path.open("ab") as handle:
             handle.write(b'{"fingerprint": "torn')  # crash mid-append
 
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == [fingerprint]
         stats = reopened.compact()
         assert stats["dropped_torn_bytes"] > 0
@@ -134,7 +133,7 @@ class TestShardedStore:
             json.loads(raw)
 
     def test_corrupt_middle_line_skipped_and_counted(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         first = store.append(run_search(_request(seed=0)))
         shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
         with shard_path.open("ab") as handle:
@@ -142,15 +141,30 @@ class TestShardedStore:
         store.refresh()
         second = store.append(run_search(_request(seed=1)))
 
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == [first, second]
         assert reopened.summary()["corrupt_lines"] == 1
         stats = reopened.compact()
         assert stats["dropped_corrupt_lines"] == 1
-        assert ShardedRunStore(tmp_path / "store").summary()["corrupt_lines"] == 0
+        assert RunStore(tmp_path / "store").summary()["corrupt_lines"] == 0
+
+    def test_append_after_torn_tail_is_not_fused_onto_it(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        first = store.append(run_search(_request(seed=0)))
+        shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
+        with shard_path.open("ab") as handle:
+            handle.write(b'{"fingerprint": "dead", "outco')  # writer killed
+        second = RunStore(tmp_path / "store").append(run_search(_request(seed=1)))
+
+        reopened = RunStore(tmp_path / "store")
+        assert reopened.fingerprints() == [first, second]
+        assert reopened.get(second).request.seed == 1
+        assert reopened.summary()["corrupt_lines"] == 1  # the fragment, kept
+        assert reopened.compact()["dropped_corrupt_lines"] == 1
+        assert RunStore(tmp_path / "store").fingerprints() == [first, second]
 
     def test_superseded_duplicate_resolves_latest_wins(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         outcome = run_search(_request())
         fingerprint = store.append(outcome)
         shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
@@ -159,7 +173,7 @@ class TestShardedStore:
         with shard_path.open("ab") as handle:
             handle.write(line)
 
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == [fingerprint]
         assert reopened.summary()["superseded"] == 1
         stats = reopened.compact()
@@ -167,7 +181,7 @@ class TestShardedStore:
         assert len(shard_path.read_bytes().splitlines()) == 1
 
     def test_paginated_outcomes(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         for seed in range(4):
             store.append(run_search(_request(seed=seed)))
         everything = [o.request.fingerprint() for o in store.outcomes()]
@@ -176,7 +190,7 @@ class TestShardedStore:
         page2 = [o.request.fingerprint() for o in store.outcomes(offset=3, limit=3)]
         assert page1 + page2 == everything
         # pagination windows are stable across reopen
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert [
             o.request.fingerprint() for o in reopened.outcomes(offset=1, limit=2)
         ] == everything[1:3]
@@ -184,29 +198,30 @@ class TestShardedStore:
             list(store.outcomes(offset=-1))
 
     def test_open_store_detects_format(self, tmp_path):
-        single = RunStore(tmp_path / "single")
-        single.append(run_search(_request()))
-        sharded = ShardedRunStore(tmp_path / "sharded")
-        sharded.append(run_search(_request()))
-        assert isinstance(open_store(tmp_path / "single"), RunStore)
-        assert isinstance(open_store(tmp_path / "sharded"), ShardedRunStore)
-        assert isinstance(open_store(tmp_path / "new", sharded=True), ShardedRunStore)
-        with pytest.raises(StoreError, match="sharded"):
-            open_store(tmp_path / "sharded", sharded=False)
-        with pytest.raises(StoreError, match="single-file"):
-            open_store(tmp_path / "single", sharded=True)
+        # a pre-sharding root runs.jsonl and a shards/ directory both open
+        # as the one RunStore class
+        sharded = RunStore(tmp_path / "sharded")
+        fingerprint = sharded.append(run_search(_request()))
+        (shard_path,) = (tmp_path / "sharded" / "shards").glob("*.jsonl")
+        single = tmp_path / "single"
+        single.mkdir()
+        (single / "runs.jsonl").write_bytes(shard_path.read_bytes())
+        for directory in (single, tmp_path / "sharded"):
+            store = open_store(directory)
+            assert type(store) is RunStore
+            assert store.fingerprints() == [fingerprint]
 
     def test_merge_stores_is_idempotent(self, tmp_path):
         source = RunStore(tmp_path / "source")
         for seed in (0, 1):
             source.append(run_search(_request(seed=seed)))
-        dest = ShardedRunStore(tmp_path / "dest")
+        dest = RunStore(tmp_path / "dest")
         assert merge_stores([source], dest) == {"merged": 2, "skipped": 0}
         assert merge_stores([source], dest) == {"merged": 0, "skipped": 2}
         assert sorted(dest.fingerprints()) == sorted(source.fingerprints())
 
     def test_export_metrics_columnar(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         for seed in (0, 1):
             store.append(run_search(_request(seed=seed)))
         payload = export_metrics(store)
@@ -278,6 +293,14 @@ class TestErrorEnvelopes:
         assert summary["retries"] == 1
         assert summary["workers"] == ["w0"]
 
+    def test_audit_append_after_torn_tail_is_not_lost(self, tmp_path):
+        log = AuditLog(tmp_path / "audit.jsonl")
+        log.append(ErrorEnvelope.from_exception(TimeoutError("slow"), fingerprint="abc"))
+        with log.path.open("ab") as handle:
+            handle.write(b'{"code": "torn')  # writer killed mid-append
+        log.append(ErrorEnvelope.from_exception(ValueError("bad"), fingerprint="def"))
+        assert [record.fingerprint for record in log.records()] == ["abc", "def"]
+
     def test_backoff_is_exponential(self):
         base = resolve_backoff(100.0, 1, 0.5)
         assert base == pytest.approx(100.5)
@@ -346,7 +369,7 @@ class TestLeases:
 class TestPullWorkers:
     def test_two_concurrent_workers_store_each_cell_exactly_once(self, tmp_path):
         store_dir = tmp_path / "shared"
-        ShardedRunStore(store_dir)
+        RunStore(store_dir)
         manifest = CampaignManifest.from_requests(
             SPEC.requests(), ttl_s=10.0, poll_s=0.05
         )
@@ -365,7 +388,7 @@ class TestPullWorkers:
         for thread in threads:
             thread.join(timeout=120)
 
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         assert set(store.fingerprints()) == set(manifest.cells)
         # exactly-once at the raw-line level: no duplicate appends at all
         total_lines = sum(
@@ -380,7 +403,7 @@ class TestPullWorkers:
     def test_dead_workers_stored_cell_is_not_reexecuted(self, tmp_path):
         """A worker stored a cell but died before releasing its lease."""
         store_dir = tmp_path / "shared"
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         requests = SMALL_SPEC.requests()
         manifest = CampaignManifest.from_requests(
             requests, ttl_s=0.2, poll_s=0.05
@@ -394,7 +417,7 @@ class TestPullWorkers:
         time.sleep(0.3)
 
         report = run_worker(store_dir, worker_id="survivor")
-        final = ShardedRunStore(store_dir)
+        final = RunStore(store_dir)
         assert set(final.fingerprints()) == set(manifest.cells)
         assert report.executed == len(requests) - 1  # stored cell untouched
         # still exactly one record for the dead worker's cell
@@ -410,7 +433,7 @@ class TestPullWorkers:
         import repro.campaign.worker as worker_mod
 
         store_dir = tmp_path / "shared"
-        ShardedRunStore(store_dir)
+        RunStore(store_dir)
         request = SMALL_SPEC.requests()[0]
         fingerprint = request_fingerprint(request)
         manifest = CampaignManifest.from_requests(
@@ -424,7 +447,7 @@ class TestPullWorkers:
         def racing_claim(self, fp):
             lease = real_claim(self, fp)
             if lease is not None:
-                peer = ShardedRunStore(store_dir)
+                peer = RunStore(store_dir)
                 if fp not in peer:  # the racing peer lands its append first
                     peer.append(outcome, fingerprint=fp)
             return lease
@@ -438,11 +461,11 @@ class TestPullWorkers:
             for path in (store_dir / "shards").glob("*.jsonl")
         )
         assert shard_lines == 1
-        assert ShardedRunStore(store_dir).fingerprints() == [fingerprint]
+        assert RunStore(store_dir).fingerprints() == [fingerprint]
 
     def test_failed_cell_is_audited_and_final(self, tmp_path):
         store_dir = tmp_path / "shared"
-        ShardedRunStore(store_dir)
+        RunStore(store_dir)
         bad = _request().replace(
             scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
         )
@@ -453,7 +476,7 @@ class TestPullWorkers:
         report = run_worker(store_dir, worker_id="w0")
         assert report.failed >= 1
         assert report.executed == 0
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         records = store.audit_records()
         assert records, "failure must be audited"
         assert records[-1].final
@@ -467,38 +490,20 @@ class TestPullWorkers:
 class TestExecutors:
     def test_registry_and_resolution(self):
         assert set(EXECUTORS.names()) >= {
-            "serial", "process-pool", "asyncio", "pull-worker",
+            "serial", "process-pool", "pull-worker",
         }
         assert resolve_executor(None, 1).name == "serial"
         assert resolve_executor(None, 4).name == "process-pool"
-        assert resolve_executor("asyncio", 2).name == "asyncio"
+        assert resolve_executor("pull-worker", 2).name == "pull-worker"
         with pytest.raises(RegistryError, match="serial"):
             resolve_executor("serail", 1)
         with pytest.raises(TypeError, match="executor"):
             resolve_executor(42, 1)
 
-    def test_pull_worker_requires_sharded_store(self, tmp_path):
-        with pytest.raises(StoreError, match="sharded"):
-            run_campaign(
-                SMALL_SPEC,
-                RunStore(tmp_path / "single"),
-                executor="pull-worker",
-                workers=2,
-            )
-
-    def test_asyncio_executor_matches_serial(self, tmp_path):
-        serial = RunStore(tmp_path / "serial")
-        run_campaign(SMALL_SPEC, serial)
-        store = RunStore(tmp_path / "async")
-        result = run_campaign(SMALL_SPEC, store, executor="asyncio", workers=2)
-        assert result.executor == "asyncio"
-        assert sorted(store.fingerprints()) == sorted(serial.fingerprints())
-        assert _metric_rows(store) == _metric_rows(serial)
-
     def test_pull_worker_executor_matches_serial(self, tmp_path):
         serial = RunStore(tmp_path / "serial")
         run_campaign(SMALL_SPEC, serial)
-        store = ShardedRunStore(tmp_path / "pull")
+        store = RunStore(tmp_path / "pull")
         result = run_campaign(
             SMALL_SPEC,
             store,

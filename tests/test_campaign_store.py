@@ -1,14 +1,25 @@
-"""Run-store persistence: fingerprints, round-trips, torn-tail repair."""
+"""Run-store persistence: fingerprints, round-trips, torn tails, old stores."""
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.api.envelopes import SearchRequest, request_fingerprint
+from repro.api.envelopes import SearchOutcome, SearchRequest, request_fingerprint
 from repro.api.session import run_search
-from repro.campaign.store import INDEX_FILENAME, RUNS_FILENAME, RunStore, StoreError
+from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign.store import (
+    INDEX_FILENAME,
+    RUNS_FILENAME,
+    SHARDS_DIRNAME,
+    RunStore,
+    StoreError,
+    fsck_store,
+    merge_stores,
+)
 
 #: Budgets small enough that one run is milliseconds.
 FAST = dict(
@@ -23,6 +34,12 @@ def _request(**overrides) -> SearchRequest:
     fields = dict(FAST, scenario="wifi-3mbps/jetson-tx2-gpu", strategy="random", seed=0)
     fields.update(overrides)
     return SearchRequest(**fields)
+
+
+def _shard(directory: Path) -> Path:
+    """The single shard file of a store holding one context."""
+    (path,) = (directory / SHARDS_DIRNAME).glob("*.jsonl")
+    return path
 
 
 class TestRequestFingerprint:
@@ -91,39 +108,40 @@ class TestRunStore:
         with pytest.raises(StoreError, match="already stored"):
             store.append(outcome)
 
-    def test_torn_tail_is_ignored_on_open_and_truncated_by_append(self, tmp_path):
+    def test_torn_tail_is_ignored_on_open_and_fenced_by_append(self, tmp_path):
         directory = tmp_path / "store"
         store = RunStore(directory)
         store.append(run_search(_request(seed=0)))
         kept = store.append(run_search(_request(seed=1)))
-        runs_path = directory / RUNS_FILENAME
-        intact = runs_path.read_bytes()
+        shard_path = _shard(directory)
         # simulate a process killed mid-append: half a record, no newline
-        runs_path.write_bytes(intact + b'{"fingerprint": "dead", "outco')
+        torn = shard_path.read_bytes() + b'{"fingerprint": "dead", "outco'
+        shard_path.write_bytes(torn)
 
         reopened = RunStore(directory)
         assert len(reopened) == 2
         assert list(o.request.seed for o in reopened.outcomes()) == [0, 1]
         # opening read-only leaves the file alone (a concurrent writer may
-        # still be flushing that tail); the next append repairs it
-        assert runs_path.read_bytes() != intact
+        # still be flushing that tail)
+        assert shard_path.read_bytes() == torn
+        # the next append ends the fragment's line before its own record:
+        # no byte is destroyed, and the fragment is one counted corrupt line
         appended = reopened.append(run_search(_request(seed=2)))
-        assert reopened.fingerprints() == [*RunStore(directory).fingerprints()]
+        assert shard_path.read_bytes().startswith(torn + b"\n")
+        assert reopened.fingerprints() == RunStore(directory).fingerprints()
         assert reopened.fingerprints()[-1] == appended
         assert kept in reopened
-        assert b"dead" not in runs_path.read_bytes()
-        assert runs_path.read_bytes().startswith(intact)
+        assert RunStore(directory).summary()["corrupt_lines"] == 1
 
     def test_parseable_tail_without_newline_is_still_torn(self, tmp_path):
         """Durability requires the newline: a flushed prefix that happens to
-        parse as complete JSON must not be indexed, or the next append would
-        concatenate onto the same line and corrupt the store."""
+        parse as complete JSON is not indexed until its line is ended."""
         directory = tmp_path / "store"
         store = RunStore(directory)
         store.append(run_search(_request(seed=0)))
         last = store.append(run_search(_request(seed=1)))
-        runs_path = directory / RUNS_FILENAME
-        runs_path.write_bytes(runs_path.read_bytes().rstrip(b"\n"))  # kill ate \n
+        shard_path = _shard(directory)
+        shard_path.write_bytes(shard_path.read_bytes().rstrip(b"\n"))  # kill ate \n
 
         reopened = RunStore(directory)
         assert len(reopened) == 1  # the newline-less record is torn, not stored
@@ -133,15 +151,21 @@ class TestRunStore:
         assert RunStore(directory).fingerprints() == reopened.fingerprints()
 
     def test_corrupt_middle_record_raises(self, tmp_path):
+        """A damaged record is never served (reading it raises), but the
+        store still opens: the damage is counted for fsck to quarantine."""
         directory = tmp_path / "store"
         store = RunStore(directory)
-        store.append(run_search(_request(seed=0)))
-        store.append(run_search(_request(seed=1)))
-        runs_path = directory / RUNS_FILENAME
-        lines = runs_path.read_bytes().splitlines(keepends=True)
-        runs_path.write_bytes(b"not json\n" + lines[1])
-        with pytest.raises(StoreError, match="corrupt record"):
-            RunStore(directory)
+        damaged = store.append(run_search(_request(seed=0)))
+        kept = store.append(run_search(_request(seed=1)))
+        shard_path = _shard(directory)
+        lines = shard_path.read_bytes().splitlines(keepends=True)
+        shard_path.write_bytes(b"not json\n" + lines[1])
+
+        reopened = RunStore(directory)
+        assert reopened.fingerprints() == [kept]
+        assert reopened.summary()["corrupt_lines"] == 1
+        with pytest.raises(KeyError, match=damaged):
+            reopened.get(damaged)
 
     def test_outcomes_stream_in_append_order(self, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -198,7 +222,8 @@ class TestRunStore:
         record = json.dumps(
             {"fingerprint": "f", "outcome": outcome.to_dict()}
         )
-        # simulate a long campaign cheaply: append raw records, then reopen
+        # simulate a long campaign cheaply: write raw records into the
+        # pre-sharding file (read like any shard), then reopen
         with (directory / RUNS_FILENAME).open("a", encoding="utf-8") as handle:
             for i in range(INDEX_FLUSH_SMALL + 100):
                 handle.write(record.replace('"f"', f'"f{i:08d}"', 1) + "\n")
@@ -221,3 +246,65 @@ class TestRunStore:
         with RunStore(directory) as store:
             store.append(run_search(_request(seed=0)))
         json.loads((directory / INDEX_FILENAME).read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------- old stores
+
+#: A store written by the pre-sharding single-file format: one root
+#: ``runs.jsonl`` (whose first record predates per-record checksums), its
+#: ``index.json`` and a root ``audit.jsonl`` holding one failure envelope.
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store"
+
+#: The grid that store was written from, and its fingerprints in file order.
+LEGACY_SPEC = CampaignSpec(
+    scenarios=("wifi-3mbps/jetson-tx2-gpu",),
+    strategies=("random",),
+    seeds=(0, 1, 2),
+    **FAST,
+)
+LEGACY_FINGERPRINTS = ["fb321cf4785230f1", "3279de8932a32a87", "a038495d2e102a3e"]
+
+
+@pytest.fixture
+def legacy_store(tmp_path) -> Path:
+    directory = tmp_path / "legacy"
+    shutil.copytree(LEGACY_STORE, directory)
+    return directory
+
+
+class TestLegacyStore:
+    def test_serves_the_stored_records_and_audit(self, legacy_store):
+        store = RunStore(legacy_store)
+        assert store.fingerprints() == LEGACY_FINGERPRINTS
+        lines = (legacy_store / RUNS_FILENAME).read_bytes().splitlines()
+        assert "crc32" not in json.loads(lines[0])  # the pre-CRC record
+        for fingerprint, line in zip(LEGACY_FINGERPRINTS, lines):
+            expected = SearchOutcome.from_dict(json.loads(line)["outcome"])
+            assert store.get(fingerprint).to_dict() == expected.to_dict()
+        assert [o.request.fingerprint() for o in store.outcomes()] == LEGACY_FINGERPRINTS
+        assert [e.code for e in store.audit_records()] == ["E_EXECUTION"]
+        assert store.summary()["audit"]["num_records"] == 1
+
+    def test_campaign_on_the_same_grid_skips_every_cell(self, legacy_store):
+        result = run_campaign(LEGACY_SPEC, RunStore(legacy_store))
+        assert result.executed == ()
+        assert sorted(result.skipped) == sorted(LEGACY_FINGERPRINTS)
+
+    def test_new_appends_go_to_shards(self, legacy_store):
+        runs = (legacy_store / RUNS_FILENAME).read_bytes()
+        fingerprint = RunStore(legacy_store).append(run_search(_request(seed=3)))
+        assert (legacy_store / RUNS_FILENAME).read_bytes() == runs
+        record = json.loads(_shard(legacy_store).read_bytes())
+        assert record["fingerprint"] == fingerprint
+        assert RunStore(legacy_store).fingerprints() == [*LEGACY_FINGERPRINTS, fingerprint]
+
+    def test_fsck_compact_and_merge(self, legacy_store, tmp_path):
+        report = fsck_store(legacy_store)
+        assert report["clean"]
+        assert (report["legacy"], report["intact"]) == (1, 2)
+        assert RunStore(legacy_store).compact()["kept"] == 3
+        assert RunStore(legacy_store).fingerprints() == LEGACY_FINGERPRINTS
+        dest = RunStore(tmp_path / "merged")
+        stats = merge_stores([RunStore(legacy_store)], dest)
+        assert stats == {"merged": 3, "skipped": 0}
+        assert sorted(dest.fingerprints()) == sorted(LEGACY_FINGERPRINTS)

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.api.envelopes import load_outcome
 from repro.campaign import RunStore
 from repro.cli import main
+
+#: A store in the pre-sharding single-file format (see test_campaign_store).
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store"
 
 #: Tiny-budget flags shared by every command that runs a search.
 FAST_FLAGS = [
@@ -244,13 +249,13 @@ SMALL_GRID = [
 def test_list_shows_executors(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "campaign executors: asyncio, process-pool, pull-worker, serial" in out
+    assert "campaign executors: process-pool, pull-worker, serial" in out
 
 
 def test_campaign_sharded_store_and_list(tmp_path, capsys):
     store_dir = tmp_path / "sharded"
     assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
-                 "--store", str(store_dir), "--sharded", "--quiet"]) == 0
+                 "--store", str(store_dir), "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "campaign done: 2 executed" in out
     assert (store_dir / "shards").is_dir()
@@ -266,18 +271,17 @@ def test_campaign_pull_worker_executor(tmp_path, capsys):
                  "--ttl", "10", "--poll", "0.2", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "campaign done: 2 executed" in out
-    # pull-worker implies a sharded store even without --sharded
     assert (store_dir / "shards").is_dir()
     assert (store_dir / "manifest.json").exists()
     assert main(["report", "--store", str(store_dir)]) == 0
 
 
 def test_worker_command_drains_a_manifest(tmp_path, capsys):
-    from repro.campaign import CampaignSpec, ShardedRunStore
+    from repro.campaign import CampaignSpec
     from repro.campaign.manifest import CampaignManifest
 
     store_dir = tmp_path / "shared"
-    ShardedRunStore(store_dir)
+    RunStore(store_dir)
     spec = CampaignSpec(
         scenarios=("wifi-3mbps/jetson-tx2-gpu",),
         strategies=("random",),
@@ -291,7 +295,7 @@ def test_worker_command_drains_a_manifest(tmp_path, capsys):
     assert main(["worker", "--store", str(store_dir), "--worker-id", "w0"]) == 0
     captured = capsys.readouterr()
     assert "worker w0 done: 1 executed" in captured.out
-    assert len(ShardedRunStore(store_dir)) == 1
+    assert len(RunStore(store_dir)) == 1
 
 
 def test_worker_without_manifest_fails(tmp_path, capsys):
@@ -302,7 +306,7 @@ def test_worker_without_manifest_fails(tmp_path, capsys):
 def test_store_compact_export_merge(tmp_path, capsys):
     store_dir = tmp_path / "sharded"
     assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
-                 "--store", str(store_dir), "--sharded", "--quiet"]) == 0
+                 "--store", str(store_dir), "--quiet"]) == 0
     capsys.readouterr()
 
     assert main(["store", "compact", "--store", str(store_dir)]) == 0
@@ -325,13 +329,27 @@ def test_store_compact_export_merge(tmp_path, capsys):
     assert "merged 0 record(s)" in capsys.readouterr().out
 
 
-def test_store_compact_rejects_single_file_store(tmp_path, capsys):
+def test_store_compact_accepts_single_file_store(tmp_path, capsys):
     store_dir = tmp_path / "single"
+    shutil.copytree(LEGACY_STORE, store_dir)
+    assert main(["store", "compact", "--store", str(store_dir)]) == 0
+    assert "3 records kept" in capsys.readouterr().out
+    assert len(RunStore(store_dir)) == 3
+
+
+def test_campaign_names_fsck_when_the_store_holds_damaged_lines(tmp_path, capsys):
+    store_dir = tmp_path / "store"
     assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
                  "--store", str(store_dir), "--quiet"]) == 0
-    capsys.readouterr()
-    assert main(["store", "compact", "--store", str(store_dir)]) == 2
-    assert "single-file" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    (shard,) = (store_dir / "shards").glob("*.jsonl")
+    with shard.open("ab") as handle:
+        handle.write(b"not json\n")
+    assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
+                 "--store", str(store_dir), "--quiet"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"repro store fsck --store {store_dir} --repair" in err
 
 
 def test_store_without_operation_is_a_usage_error(capsys):
