@@ -15,8 +15,9 @@ This benchmark replays the evaluation phase of a search — the stream of
 candidate pools a 300-evaluation run would cost — two ways:
 
 * ``scalar`` — the per-candidate reference path: a ``predict_layer`` loop
-  per candidate plus ``PartitionAnalyzer.evaluate`` per channel (per-layer
-  predictions shared across channels, as the engine's scalar path does);
+  per candidate plus the scalar Algorithm 1 oracle of
+  ``tests/test_eval_batch.py`` per channel (per-layer predictions shared
+  across channels);
 * ``batched`` — ``EvaluationEngine.evaluate_batch`` over each pool with the
   same channels (cold caches, so every candidate is genuinely computed).
 
@@ -29,7 +30,9 @@ enforces.  The >= 5x timing floor is only asserted on full-size runs
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import FAST_MODE, PREDICTOR_SAMPLES, SEED, save_table
@@ -37,6 +40,9 @@ from conftest import FAST_MODE, PREDICTOR_SAMPLES, SEED, save_table
 from repro.api.engine import EvaluationEngine
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from test_eval_batch import scalar_costing_oracle  # noqa: E402
 
 #: Candidates per pool (the MOBO loop's init pool / acquisition pool scale).
 POOL_SIZE = 16 if FAST_MODE else 32
@@ -100,7 +106,9 @@ def _scalar_replay(pools, predictor, channels):
             )
             results.append(
                 [
-                    analyzer.evaluate(architecture, predictions=predictions)
+                    scalar_costing_oracle(
+                        analyzer, architecture, predictions=predictions
+                    )
                     for analyzer in analyzers
                 ]
             )
@@ -261,7 +269,9 @@ def test_batched_evaluation_graph_aware_parity(trained_gpu_predictor):
     )
     scalar = [
         [
-            analyzer.with_channel(channel).evaluate(architecture, graph=graph)
+            scalar_costing_oracle(
+                analyzer.with_channel(channel), architecture, graph=graph
+            )
             for channel in channels
         ]
         for architecture, graph in zip(architectures, graphs)

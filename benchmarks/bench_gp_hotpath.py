@@ -23,7 +23,8 @@ timings/speedups as JSON.  Timing floors are only asserted on full-size runs
 >= 5x surrogate-phase speedup over the legacy cold path.
 
 A second test smokes the vectorised ``pareto_front_mask`` on a 50k-point
-cloud and cross-checks it against the O(n^2) reference implementation.  A
+cloud and cross-checks it against the O(n^2) oracle of
+``tests/test_optim_pareto.py``.  A
 third times ``compute_front_history`` (incremental front, hypervolume only on
 joins) against the per-prefix rebuild oracle of
 ``tests/test_front_history_incremental.py`` on a seeded 2000x3 stream: the
@@ -42,15 +43,12 @@ from conftest import FAST_MODE, save_table
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.optim.kernels import Matern52Kernel
-from repro.optim.pareto import (
-    _pareto_front_mask_reference,
-    compute_front_history,
-    pareto_front_mask,
-)
+from repro.optim.pareto import compute_front_history, pareto_front_mask
 from repro.optim.scalarization import normalize_objectives
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from test_front_history_incremental import front_history_oracle  # noqa: E402
+from test_optim_pareto import pareto_front_mask_oracle  # noqa: E402
 
 #: Final evaluation counts replayed by the surrogate-phase benchmark.
 SIZES = (30, 60) if FAST_MODE else (50, 200, 500)
@@ -306,7 +304,7 @@ def test_pareto_front_mask_vectorized_smoke():
 
     assert front.shape[0] > 0
     # Every front member must be non-dominated within the front itself.
-    assert np.all(_pareto_front_mask_reference(front))
+    assert np.all(pareto_front_mask_oracle(front))
     # Every excluded point must be dominated by some front member.
     excluded = cloud[~mask][:PARETO_CHECK_POINTS]
     dominated = np.array(
@@ -319,7 +317,7 @@ def test_pareto_front_mask_vectorized_smoke():
     # Exact equivalence with the reference implementation on a subsample.
     sample = cloud[:PARETO_CHECK_POINTS]
     assert np.array_equal(
-        pareto_front_mask(sample), _pareto_front_mask_reference(sample)
+        pareto_front_mask(sample), pareto_front_mask_oracle(sample)
     )
 
 

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.runtime import RuntimeComparison, ThresholdAnalysis, simulate_runtime
+from repro.core.runtime import (
+    RuntimeComparison,
+    ThresholdAnalysis,
+    runtime_options,
+    simulate_runtime,
+)
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture
 from repro.partition.deployment import DeploymentMetrics
@@ -69,24 +74,14 @@ def select_runtime_options(
 
     The paper considers each model's best partitioning option together with
     All-Edge (model A) or All-Cloud (model B); the flags select which
-    companions to include.
+    companions to include (see :func:`repro.core.runtime.runtime_options`).
     """
-    analyzer = PartitionAnalyzer(predictor, channel)
-    evaluation = analyzer.evaluate(architecture)
-    best = evaluation.best_for(metric)
-    options: List[DeploymentMetrics] = [best]
-    if include_all_edge and evaluation.all_edge.option != best.option:
-        options.append(evaluation.all_edge)
-    if include_all_cloud and evaluation.all_cloud.option != best.option:
-        options.append(evaluation.all_cloud)
-    if len(options) < 2:
-        # Ensure at least two options so there is something to switch between.
-        options.append(
-            evaluation.all_cloud
-            if evaluation.all_edge.option == best.option
-            else evaluation.all_edge
-        )
-    return options
+    return runtime_options(
+        PartitionAnalyzer(predictor, channel).evaluate(architecture),
+        metric,
+        include_all_edge=include_all_edge,
+        include_all_cloud=include_all_cloud,
+    )
 
 
 def run_runtime_study(

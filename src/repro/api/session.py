@@ -317,44 +317,6 @@ def execute_strategy(
     return strategy(context)
 
 
-def _replay_group_sizes(request: SearchRequest, num_records: int) -> List[int]:
-    """Evaluation-group sizes of a search's first ``num_records`` evaluations.
-
-    Mirrors the strategies' batching exactly: the random strategy costs
-    pools of :data:`_RANDOM_EVAL_CHUNK`, the MOBO strategies cost one
-    ``num_initial`` batch and then ``min(batch_size, remaining)`` per step.
-    Only *complete* groups are returned (their sizes sum to at most
-    ``num_records``); records past the last group boundary are dropped by
-    the resume replay and re-evaluated live, which keeps the warmed engine
-    cache bit-identical to the original run's.
-    """
-    sizes: List[int] = []
-    if request.strategy == "random":
-        budget = request.num_evaluations
-        start = 0
-        while start < budget:
-            size = min(_RANDOM_EVAL_CHUNK, budget - start)
-            if start + size > num_records:
-                break
-            sizes.append(size)
-            start += size
-        return sizes
-    # MOBO-shaped strategies (lens, traditional)
-    if request.num_initial > num_records:
-        return sizes
-    sizes.append(request.num_initial)
-    consumed = 0
-    done = request.num_initial
-    while consumed < request.num_iterations:
-        step = min(request.batch_size, request.num_iterations - consumed)
-        if done + step > num_records:
-            break
-        sizes.append(step)
-        consumed += step
-        done += step
-    return sizes
-
-
 def run_search(
     request: Union[SearchRequest, Dict, None] = None,
     *,
@@ -433,30 +395,19 @@ def run_search(
             # Resume is replay: warming the engine caches with the recorded
             # candidate sequence turns every recorded evaluation of the
             # re-run into a cache hit, so the strategy regenerates the
-            # identical search at cache speed.  The replay must reproduce
-            # the original run's evaluation *grouping* (init batch vs
-            # per-step evaluations): the vectorised and scalar costing
-            # paths agree only to float roundoff, so warming with a
-            # different grouping would seed the cache with last-ulp
-            # different values and break bitwise parity.  Records past the
-            # last complete group boundary are simply re-evaluated live.
+            # identical search at cache speed.  Costing does not depend on
+            # how candidates are grouped, so one pool replays every record,
+            # however the original run batched them.
             genotypes = resume_from.genotypes()
-            replayed = 0
-            for size in _replay_group_sizes(context.request, len(genotypes)):
-                context.evaluator.evaluate_pool(
-                    [
-                        np.asarray(g, dtype=int)
-                        for g in genotypes[replayed : replayed + size]
-                    ]
-                )
-                replayed += size
-            if replayed:
-                health.record(
-                    "H_RESUMED",
-                    f"replayed {replayed} of {resume_from.num_evaluations} "
-                    f"recorded evaluation(s) through the engine cache",
-                    replayed=replayed,
-                )
+            context.evaluator.evaluate_pool(
+                [np.asarray(g, dtype=int) for g in genotypes]
+            )
+            health.record(
+                "H_RESUMED",
+                f"replayed {len(genotypes)} recorded evaluation(s) through "
+                f"the engine cache",
+                replayed=len(genotypes),
+            )
         recorder = CheckpointRecorder(
             cell_dir,
             fingerprint=fingerprint,

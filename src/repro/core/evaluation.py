@@ -94,36 +94,26 @@ class PartitionAwareEvaluator:
     def evaluate_genotype(
         self, genotype: Sequence[int]
     ) -> Tuple[np.ndarray, Dict]:
-        """Evaluate one genotype.
+        """Evaluate one genotype: ``evaluate_pool([genotype])[0]``.
 
         Returns the objective vector ``[error %, latency s, energy J]``
         (all minimised) and a metadata dictionary containing the full
         :class:`CandidateEvaluation` under the key ``"evaluation"``.
         """
-        accuracy_arch = self.search_space.decode_for_accuracy(genotype)
-        performance_arch = self.search_space.decode_for_performance(genotype)
-
-        graph = space_partition_graph(self.search_space, performance_arch)
-        if self.engine is not None:
-            partition_eval = self.engine.evaluate_partitions(
-                performance_arch, self.analyzer, graph=graph
-            )
-        else:
-            partition_eval = self.analyzer.evaluate(performance_arch, graph=graph)
-        return self._package(genotype, accuracy_arch, performance_arch, partition_eval)
+        return self.evaluate_pool([genotype])[0]
 
     def evaluate_pool(
         self, genotypes: Sequence[Sequence[int]]
     ) -> List[Tuple[np.ndarray, Dict]]:
         """Evaluate a whole candidate pool through the batched hot path.
 
-        Equivalent to ``[self.evaluate_genotype(g) for g in genotypes]``
-        (same records, same float packaging) but the per-layer predictions
-        and deployment costing run as one array-level batch:
+        The per-layer predictions and deployment costing run as one
+        array-level batch:
         :meth:`~repro.api.engine.EvaluationEngine.evaluate_batch` dedups the
         pool against the engine caches and backfills them, or — without an
         engine — :meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
-        costs the pool directly.
+        costs the pool directly.  Each record depends on its genotype only,
+        never on the rest of the pool.
         """
         genotypes = list(genotypes)
         if not genotypes:
@@ -156,7 +146,7 @@ class PartitionAwareEvaluator:
         performance_arch: Architecture,
         partition_eval,
     ) -> Tuple[np.ndarray, Dict]:
-        """Shared record/objective packaging of the scalar and pool paths."""
+        """Objective vector and metadata record of one costed genotype."""
         error = float(self.accuracy_model.error_percent(accuracy_arch))
         all_edge = partition_eval.all_edge
         best_latency = partition_eval.best_latency

@@ -11,6 +11,8 @@ dominant option in O(1).  This module provides:
   re-evaluation of a :class:`~repro.partition.deployment.DeploymentMetrics`
   under an arbitrary uplink throughput (the edge-side components are constant;
   only the communication terms depend on ``tu``);
+* :func:`runtime_options` — the deployment options a model switches
+  between: its best option plus All-Edge / All-Cloud companions;
 * :class:`ThresholdAnalysis` — pairwise crossover thresholds and dominance
   intervals (the 6.77 Mbps / 22.77 Mbps numbers of §V-C are instances of
   these);
@@ -23,7 +25,7 @@ dominant option in O(1).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from repro.utils.validation import require_positive
 from repro.wireless.power_models import RadioPowerModel
 from repro.wireless.tracker import ThroughputTracker
 from repro.wireless.traces import ThroughputTrace
+
+if TYPE_CHECKING:
+    from repro.partition.partitioner import PartitionEvaluation
 
 #: Metrics the runtime machinery can optimise.
 RUNTIME_METRICS = ("latency", "energy")
@@ -73,6 +78,31 @@ def deployment_metric_value(
     if metric == "energy":
         return deployment_energy(metrics, uplink_mbps, power_model)
     raise ValueError(f"metric must be one of {RUNTIME_METRICS}, got {metric!r}")
+
+
+def runtime_options(
+    evaluation: "PartitionEvaluation",
+    metric: str,
+    include_all_edge: bool = True,
+    include_all_cloud: bool = True,
+) -> List[DeploymentMetrics]:
+    """Deployment options worth switching between at runtime for one model.
+
+    The best option for ``metric`` comes first, followed by the requested
+    All-Edge / All-Cloud companions that differ from it.  When that leaves a
+    single option, the other extreme is added, so there is always something
+    to switch between.
+    """
+    best = evaluation.best_for(metric)
+    all_edge, all_cloud = evaluation.all_edge, evaluation.all_cloud
+    options: List[DeploymentMetrics] = [best]
+    if include_all_edge and all_edge.option != best.option:
+        options.append(all_edge)
+    if include_all_cloud and all_cloud.option != best.option:
+        options.append(all_cloud)
+    if len(options) < 2:
+        options.append(all_cloud if best.option == all_edge.option else all_edge)
+    return options
 
 
 def pairwise_threshold(

@@ -27,6 +27,7 @@ from repro.core.runtime import (
     DominanceInterval,
     DynamicDeploymentController,
     ThresholdAnalysis,
+    runtime_options,
 )
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture
@@ -176,20 +177,12 @@ def build_deployment_package(
     what the paper's §IV-E precomputes before deployment.
     """
     architecture = search_space.decode_for_performance(candidate.genotype)
-    analyzer = PartitionAnalyzer(predictor, channel)
-    evaluation = analyzer.evaluate(architecture)
-    best = evaluation.best_for(metric)
-    options: List[DeploymentMetrics] = [best]
-    if include_all_edge and evaluation.all_edge.option != best.option:
-        options.append(evaluation.all_edge)
-    if include_all_cloud and evaluation.all_cloud.option != best.option:
-        options.append(evaluation.all_cloud)
-    if len(options) < 2:
-        options.append(
-            evaluation.all_cloud
-            if best.option == evaluation.all_edge.option
-            else evaluation.all_edge
-        )
+    options = runtime_options(
+        PartitionAnalyzer(predictor, channel).evaluate(architecture),
+        metric,
+        include_all_edge=include_all_edge,
+        include_all_cloud=include_all_cloud,
+    )
     analysis = ThresholdAnalysis(
         options=options,
         power_model=channel.power_model,

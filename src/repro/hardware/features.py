@@ -35,85 +35,15 @@ def prediction_family(layer_type: str) -> str:
     return FAMILY_ALIASES.get(layer_type, layer_type)
 
 
-def conv_features(summary: LayerSummary) -> np.ndarray:
-    """Features for convolutional layers.
-
-    ``[input elements, output elements, MACs, parameters, weight bytes,
-    total activation+weight traffic]`` in mega-units.
-    """
-    traffic = summary.weight_bytes + summary.output_bytes + 4 * summary.input_elements
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-            summary.macs / MEGA,
-            summary.params / MEGA,
-            summary.weight_bytes / MEGA,
-            traffic / MEGA,
-        ]
-    )
-
-
-def fc_features(summary: LayerSummary) -> np.ndarray:
-    """Features for fully-connected layers.
-
-    ``[input features, output features, MACs, weight bytes]`` in mega-units.
-    """
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-            summary.macs / MEGA,
-            summary.weight_bytes / MEGA,
-        ]
-    )
-
-
-def pool_features(summary: LayerSummary) -> np.ndarray:
-    """Features for pooling layers: ``[input elements, output elements, ops]``."""
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-            summary.macs / MEGA,
-        ]
-    )
-
-
-def generic_features(summary: LayerSummary) -> np.ndarray:
-    """Fallback features for structural layers (flatten, dropout)."""
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-        ]
-    )
-
-
-_FEATURE_EXTRACTORS = {
-    "conv": conv_features,
-    "fc": fc_features,
-    "pool": pool_features,
-}
-
-
-def layer_features(summary: LayerSummary) -> np.ndarray:
-    """Dispatch feature extraction based on the layer's prediction family."""
-    extractor = _FEATURE_EXTRACTORS.get(
-        prediction_family(summary.layer_type), generic_features
-    )
-    return extractor(summary)
-
-
-# ---------------------------------------------------------------------- batched
-# Column builders mirroring the per-layer extractors above.  Each gathers the
-# *raw* counts of a whole family group column-by-column (plain list
-# comprehensions, no per-layer array or tuple allocation), converts them in
-# one ``np.array`` call and applies one matrix-wide ``/ MEGA``; integer counts
-# convert to float64 exactly and the scalar division is the same IEEE
-# operation the per-layer extractors apply, so the values are identical.
+# Column builders, one per prediction family.  Each gathers the *raw* counts
+# of a whole family group column-by-column (plain list comprehensions, no
+# per-layer array or tuple allocation); :func:`family_feature_matrix`
+# converts them in one ``np.array`` call and applies one matrix-wide
+# ``/ MEGA``.
 
 def _conv_columns(summaries: List[LayerSummary]) -> tuple:
+    """Convolutions: ``[input elements, output elements, MACs, parameters,
+    weight bytes, total activation+weight traffic]``."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -128,6 +58,8 @@ def _conv_columns(summaries: List[LayerSummary]) -> tuple:
 
 
 def _fc_columns(summaries: List[LayerSummary]) -> tuple:
+    """Fully-connected layers: ``[input features, output features, MACs,
+    weight bytes]``."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -137,6 +69,7 @@ def _fc_columns(summaries: List[LayerSummary]) -> tuple:
 
 
 def _pool_columns(summaries: List[LayerSummary]) -> tuple:
+    """Poolings: ``[input elements, output elements, ops]``."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -145,6 +78,8 @@ def _pool_columns(summaries: List[LayerSummary]) -> tuple:
 
 
 def _generic_columns(summaries: List[LayerSummary]) -> tuple:
+    """Fallback for structural layers (flatten, dropout):
+    ``[input elements, output elements]``."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -161,10 +96,9 @@ _COLUMN_BUILDERS = {
 def family_feature_matrix(family: str, summaries: List[LayerSummary]) -> np.ndarray:
     """``(len(summaries), d)`` design matrix for one prediction family.
 
-    Rows equal :func:`layer_features` of the corresponding summary (the
-    family must be the summaries' shared :func:`prediction_family`); building
-    the matrix in one pass is the featurization half of the batched
-    predictor hot path.
+    The family must be the summaries' shared :func:`prediction_family`;
+    building the matrix in one pass is the featurization half of the
+    batched predictor hot path.
     """
     builder = _COLUMN_BUILDERS.get(family, _generic_columns)
     matrix = np.array(builder(summaries), dtype=float).T
@@ -178,11 +112,17 @@ def feature_dimension(layer_type: str) -> int:
     return dims.get(prediction_family(layer_type), 2)
 
 
+def layer_features(summary: LayerSummary) -> np.ndarray:
+    """Feature vector of one layer: its row of :func:`family_feature_matrix`."""
+    return family_feature_matrix(prediction_family(summary.layer_type), [summary])[0]
+
+
 def stack_features(summaries: List[LayerSummary]) -> Dict[str, np.ndarray]:
-    """Group summaries by prediction family and stack their feature vectors."""
-    grouped: Dict[str, List[np.ndarray]] = {}
+    """Group summaries by prediction family and build each family's matrix."""
+    grouped: Dict[str, List[LayerSummary]] = {}
     for summary in summaries:
-        grouped.setdefault(
-            prediction_family(summary.layer_type), []
-        ).append(layer_features(summary))
-    return {family: np.vstack(rows) for family, rows in grouped.items()}
+        grouped.setdefault(prediction_family(summary.layer_type), []).append(summary)
+    return {
+        family: family_feature_matrix(family, members)
+        for family, members in grouped.items()
+    }

@@ -88,7 +88,13 @@ class RidgeRegression:
             raise RuntimeError("RidgeRegression.predict called before fit")
         X = np.atleast_2d(np.asarray(features, dtype=float))
         Xs = (X - self._mean) / self._std
-        return Xs @ self._weights + self._intercept
+        # Column-by-column multiply-accumulate rather than a BLAS ``Xs @ w``:
+        # every row is summed in the same order however many rows share the
+        # call, so a prediction never depends on its batch.
+        result = np.zeros(Xs.shape[0])
+        for column, weight in zip(Xs.T, self._weights):
+            result += column * weight
+        return result + self._intercept
 
     def score(self, features: np.ndarray, targets: np.ndarray) -> float:
         """Coefficient of determination (R^2) on the given data."""
@@ -236,7 +242,7 @@ class LayerPerformancePredictor(BaseLayerPredictor):
 
     # ------------------------------------------------------------------ prediction
     def predict_layer(self, summary: LayerSummary) -> LayerPrediction:
-        """Scalar reference path: one layer, one feature row per model."""
+        """One layer; equal to its row of :meth:`predict_pool`."""
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted; call fit() or train_for_device()")
         family = prediction_family(summary.layer_type)
@@ -265,9 +271,9 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         All layers of all architectures are grouped by prediction family,
         each family featurizes into one design matrix
         (:func:`~repro.hardware.features.family_feature_matrix`), and each
-        :class:`RidgeRegression` runs as a single matrix product — two
-        matmuls per family for the entire pool instead of two per layer.
-        Values match :meth:`predict_layer` to floating-point roundoff.
+        :class:`RidgeRegression` predicts the whole matrix in one call — two
+        calls per family for the entire pool instead of two per layer.
+        Every value equals :meth:`predict_layer` of its layer exactly.
         """
         return self.predict_pool(architectures)[0]
 

@@ -46,19 +46,18 @@ def pareto_front_mask(objectives: np.ndarray) -> np.ndarray:
     50 000-point cloud (see ``benchmarks/bench_gp_hotpath.py``).
     """
     Y = np.atleast_2d(np.asarray(objectives, dtype=float))
-    n = Y.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if n == 1:
-        return np.ones(1, dtype=bool)
-    if np.isnan(Y).any():
-        # NaN comparisons would let a NaN pivot eliminate finite rows; the
-        # loop implementation instead leaves non-dominated finite rows alone.
-        return _pareto_front_mask_reference(Y)
+    # A row holding NaN neither dominates nor is dominated (the
+    # :func:`dominates` rule), so it is always kept and the scan runs on the
+    # other rows only.
+    mask = np.isnan(Y).any(axis=1)
+    finite = np.flatnonzero(~mask)
+    if finite.size <= 1:
+        mask[finite] = True
+        return mask
     # Lexicographic sort: primary key column 0, then column 1, ...
-    order = np.lexsort(Y.T[::-1])
+    order = finite[np.lexsort(Y[finite].T[::-1])]
     rows = Y[order]
-    surviving = np.arange(n)  # positions into the sorted rows
+    surviving = np.arange(rows.shape[0])  # positions into the sorted rows
     pointer = 0
     while pointer < rows.shape[0]:
         pivot = rows[pointer]
@@ -73,26 +72,7 @@ def pareto_front_mask(objectives: np.ndarray) -> np.ndarray:
         surviving = surviving[alive]
         rows = rows[alive]
         pointer = int(np.count_nonzero(alive[:pointer])) + 1
-    mask = np.zeros(n, dtype=bool)
     mask[order[surviving]] = True
-    return mask
-
-
-def _pareto_front_mask_reference(objectives: np.ndarray) -> np.ndarray:
-    """O(n^2 k) loop reference implementation (kept for equivalence tests)."""
-    Y = np.atleast_2d(np.asarray(objectives, dtype=float))
-    n = Y.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        dominated_by_i = np.all(Y >= Y[i], axis=1) & np.any(Y > Y[i], axis=1)
-        mask &= ~dominated_by_i
-        mask[i] = True
-        # If someone else dominates i, drop it.
-        dominates_i = np.all(Y <= Y[i], axis=1) & np.any(Y < Y[i], axis=1)
-        if np.any(dominates_i & mask):
-            mask[i] = False
     return mask
 
 

@@ -179,26 +179,6 @@ class PartitionAnalyzer:
         self.cloud_predictor = cloud_predictor
         self.require_shrinkage = bool(require_shrinkage)
 
-    # ------------------------------------------------------------------ helpers
-    def _cloud_suffix_latencies(
-        self, architecture: Architecture
-    ) -> Optional[np.ndarray]:
-        """Cloud compute latency of every layer suffix, or ``None``.
-
-        ``suffix[i]`` is the summed cloud latency of layers ``i..end``
-        (``suffix[num_layers] == 0``), computed as a single reversed
-        cumulative sum of the cloud predictor's per-layer latencies instead
-        of a ``summarize()[first:]`` re-walk per cut point.  Shared by the
-        scalar and batched costing paths.
-        """
-        if self.cloud_predictor is None:
-            return None
-        predictions = self.cloud_predictor.predict_architecture(architecture)
-        latencies = np.array([p.latency_s for p in predictions])
-        suffix = np.zeros(latencies.shape[0] + 1)
-        suffix[:-1] = latencies[::-1].cumsum()[::-1]
-        return suffix
-
     # ------------------------------------------------------------------ evaluation
     def evaluate(
         self,
@@ -206,7 +186,7 @@ class PartitionAnalyzer:
         predictions: Optional[Sequence[LayerPrediction]] = None,
         graph: Optional[PartitionGraph] = None,
     ) -> PartitionEvaluation:
-        """Cost every deployment option of ``architecture``.
+        """Cost every deployment option of ``architecture`` (a pool of one).
 
         Parameters
         ----------
@@ -222,94 +202,11 @@ class PartitionAnalyzer:
             decoded skip edges express, via
             :meth:`repro.nn.spaces.SearchSpace.partition_graph`).
         """
-        summaries = architecture.summarize()
-        if predictions is None:
-            predictions = self.predictor.predict_architecture(architecture)
-        if len(predictions) != len(summaries):
-            raise ValueError(
-                f"expected {len(summaries)} layer predictions, got {len(predictions)}"
-            )
-
-        latencies = np.array([p.latency_s for p in predictions])
-        energies = np.array([p.energy_j for p in predictions])
-        output_bytes = np.array([s.output_bytes for s in summaries])
-        cumulative_latency = np.cumsum(latencies)
-        cumulative_energy = np.cumsum(energies)
-        input_bytes = architecture.input_bytes
-        cloud_suffix = self._cloud_suffix_latencies(architecture)
-
-        options: List[DeploymentMetrics] = []
-
-        # --- All-Cloud: upload the raw input, no edge compute.
-        cloud_cost = self.channel.cost(input_bytes)
-        options.append(
-            DeploymentMetrics(
-                option=DeploymentOption.all_cloud(),
-                latency_s=cloud_cost.latency_s
-                + (float(cloud_suffix[0]) if cloud_suffix is not None else 0.0),
-                energy_j=cloud_cost.energy_j,
-                edge_latency_s=0.0,
-                edge_energy_j=0.0,
-                comm_latency_s=cloud_cost.latency_s,
-                comm_energy_j=cloud_cost.energy_j,
-                transferred_bytes=float(input_bytes),
-            )
-        )
-
-        # --- All-Edge: run everything locally, no transmission.
-        options.append(
-            DeploymentMetrics(
-                option=DeploymentOption.all_edge(),
-                latency_s=float(cumulative_latency[-1]),
-                energy_j=float(cumulative_energy[-1]),
-                edge_latency_s=float(cumulative_latency[-1]),
-                edge_energy_j=float(cumulative_energy[-1]),
-                comm_latency_s=0.0,
-                comm_energy_j=0.0,
-                transferred_bytes=0.0,
-            )
-        )
-
-        # --- Splits at every candidate partition point (graph-aware: cuts
-        # that would split a skip connection are never proposed).
-        partition_points = identify_partition_points(
-            summaries,
-            input_bytes,
-            require_shrinkage=self.require_shrinkage,
-            graph=graph if graph is not None else architecture.partition_graph(),
-        )
-        for index in partition_points:
-            transfer_bytes = float(output_bytes[index])
-            comm_cost = self.channel.cost(transfer_bytes)
-            edge_latency = float(cumulative_latency[index])
-            edge_energy = float(cumulative_energy[index])
-            options.append(
-                DeploymentMetrics(
-                    option=DeploymentOption.split_after(index, summaries[index].name),
-                    latency_s=edge_latency
-                    + comm_cost.latency_s
-                    + (
-                        float(cloud_suffix[index + 1])
-                        if cloud_suffix is not None
-                        else 0.0
-                    ),
-                    energy_j=edge_energy + comm_cost.energy_j,
-                    edge_latency_s=edge_latency,
-                    edge_energy_j=edge_energy,
-                    comm_latency_s=comm_cost.latency_s,
-                    comm_energy_j=comm_cost.energy_j,
-                    transferred_bytes=transfer_bytes,
-                )
-            )
-
-        return PartitionEvaluation(
-            architecture_name=architecture.name,
-            options=tuple(options),
-            layer_latencies_s=tuple(float(v) for v in latencies),
-            layer_energies_j=tuple(float(v) for v in energies),
-            layer_output_bytes=tuple(int(v) for v in output_bytes),
-            partition_point_indices=tuple(partition_points),
-        )
+        return self.evaluate_batch(
+            [architecture],
+            predictions_list=None if predictions is None else [predictions],
+            graphs=[graph],
+        )[0][0]
 
     def evaluate_batch(
         self,
@@ -321,18 +218,16 @@ class PartitionAnalyzer:
     ) -> List[List[PartitionEvaluation]]:
         """Array-based costing of a candidate pool under many channels.
 
-        Semantically equivalent to calling :meth:`evaluate` (the scalar
-        reference implementation) for every ``(architecture, channel)`` pair,
-        but computed end to end on arrays: per-candidate latency/energy/
-        output-byte vectors concatenate into one flat pool-wide axis, split
-        costing (prefix sums, the shrinkage rule, the
+        Algorithm 1 for every ``(architecture, channel)`` pair, computed end
+        to end on arrays: per-candidate latency/energy/output-byte vectors
+        concatenate into one flat pool-wide axis, and split costing (prefix
+        sums, the shrinkage rule, the
         :class:`~repro.nn.graph.PartitionGraph` legal-cut mask and the
         channel cost model) is broadcast across every cut point of every
-        candidate at once, and cloud-suffix latencies come from one reversed
-        cumulative sum per candidate instead of a ``summarize()`` re-walk
-        per cut.  Results match the scalar path to floating-point roundoff
-        (<= 1e-9, asserted by ``benchmarks/bench_eval_batch.py`` and the
-        hypothesis parity suite).
+        candidate at once.  Each candidate's record is a pure function of
+        its architecture, predictions, graph and channel: no value depends
+        on which other candidates share the pool, so a pool, any shuffle of
+        it and each pool-of-one give bit-identical records.
 
         Parameters
         ----------
@@ -423,16 +318,15 @@ class PartitionAnalyzer:
         # one elementwise product for the whole pool.
         flat_energy = flat_latency * pairs[:, 1]
 
-        # Per-candidate prefix sums: one flat cumsum, then subtract each
-        # candidate's starting total.
-        starts = np.array(offsets[:-1])
+        # Per-candidate prefix sums: candidate i owns row i of a zero-padded
+        # (n, max_layers) array, so a cumsum along the row adds exactly its
+        # own layers in order (bit for bit a 1-D cumsum of the candidate
+        # alone), whatever pool it is costed in.
         last_positions = np.array(offsets[1:]) - 1
-        cum_lat_all = np.cumsum(flat_latency)
-        cum_en_all = np.cumsum(flat_energy)
-        base_lat = np.repeat(np.concatenate(([0.0], cum_lat_all))[starts], lengths)
-        base_en = np.repeat(np.concatenate(([0.0], cum_en_all))[starts], lengths)
-        cumulative_latency = cum_lat_all - base_lat
-        cumulative_energy = cum_en_all - base_en
+        in_row = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        padded = np.zeros((2, n, in_row.shape[1]))
+        padded[:, in_row] = (flat_latency, flat_energy)
+        cumulative_latency, cumulative_energy = padded.cumsum(axis=2)[:, in_row]
 
         flat_bytes: List[int] = []
         flat_flags: List[bool] = []

@@ -2,9 +2,10 @@
 
 The fault-injection/ladder/quarantine half of the resilience layer is
 covered in ``tests/test_resilience.py``; this module pins the checkpoint
-format, the recorder's flush/drift-guard behaviour, the replay-grouping
-helper, and the end-to-end guarantee: a search killed mid-run and resumed
-with a *fresh* engine produces a bitwise-identical outcome.
+format, the recorder's flush/drift-guard behaviour, and the end-to-end
+guarantee: a search killed mid-run — even inside an evaluation batch — and
+resumed with a *fresh* engine replays every recorded evaluation and produces
+a bitwise-identical outcome.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchRequest
-from repro.api.session import _replay_group_sizes, run_search
+from repro.api.session import run_search
 from repro.campaign.manifest import (
     CampaignManifest,
     backoff_jitter_factor,
@@ -26,6 +27,7 @@ from repro.campaign.worker import run_worker
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CHECKPOINT_FILENAME,
+    HEALTH_LOG_FILENAME,
     CheckpointRecord,
     CheckpointRecorder,
     SearchCheckpoint,
@@ -220,48 +222,61 @@ class TestCheckpointRecorder:
         assert health.count("H_RESUME_DRIFT") == 0
 
 
-# ---------------------------------------------------------------- replay grouping
+# ---------------------------------------------------------------- kill inside a batch
 
 
-class TestReplayGroupSizes:
-    def _request(self, **kwargs):
+class TestResumeInsideABatch:
+    """A kill between batch boundaries still resumes bitwise-identical."""
+
+    def _kill_and_resume(self, tmp_path, kill_at, every, **overrides):
         params = dict(FAST)
-        params.update(kwargs)
-        return SearchRequest(**params)
-
-    def test_mobo_full_history(self):
-        # 3 initial + 4 iterations at batch_size=1 -> [3, 1, 1, 1, 1]
-        request = self._request()
-        assert _replay_group_sizes(request, 7) == [3, 1, 1, 1, 1]
-
-    def test_mobo_truncates_to_group_boundary(self):
-        request = self._request()
-        assert _replay_group_sizes(request, 5) == [3, 1, 1]
-        assert _replay_group_sizes(request, 3) == [3]
-
-    def test_mobo_fewer_than_initial_replays_nothing(self):
-        assert _replay_group_sizes(self._request(), 2) == []
-        assert _replay_group_sizes(self._request(), 0) == []
-
-    def test_mobo_batched_steps(self):
-        request = self._request(num_initial=4, num_iterations=5, batch_size=2)
-        # groups: init 4, then q = min(2, remaining) -> [4, 2, 2, 1]
-        assert _replay_group_sizes(request, 9) == [4, 2, 2, 1]
-        assert _replay_group_sizes(request, 7) == [4, 2]  # 7 < 4+2+2
-
-    def test_random_chunks(self):
-        request = self._request(
-            strategy="random", num_initial=60, num_iterations=80
+        params.update(overrides)
+        golden = run_search(engine=EvaluationEngine(), **params)
+        with faults.inject(
+            FaultInjector(kill_at_evaluation=kill_at, kill_mode="raise")
+        ):
+            with pytest.raises(KilledByFault):
+                run_search(
+                    engine=EvaluationEngine(),
+                    checkpoint_dir=tmp_path,
+                    checkpoint_every=every,
+                    **params,
+                )
+        cell_dir = tmp_path / SearchRequest(**params).fingerprint()
+        partial = SearchCheckpoint.load(cell_dir)
+        assert partial is not None and partial.num_evaluations == kill_at
+        resumed = run_search(
+            engine=EvaluationEngine(),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=every,
+            **params,
         )
-        # budget 140 in chunks of 64 -> [64, 64, 12]
-        assert _replay_group_sizes(request, 140) == [64, 64, 12]
-        assert _replay_group_sizes(request, 100) == [64]
-        assert _replay_group_sizes(request, 63) == []
+        assert _comparable(resumed) == _comparable(golden)
+        assert resumed.health.get("H_RESUME_DRIFT", 0) == 0
+        events = [
+            json.loads(line)
+            for line in (cell_dir / HEALTH_LOG_FILENAME).read_text().splitlines()
+        ]
+        replayed = [e["context"]["replayed"] for e in events if e["code"] == "H_RESUMED"]
+        assert replayed == [partial.num_evaluations]
 
-    def test_group_sizes_never_exceed_records(self):
-        for records in range(0, 8):
-            sizes = _replay_group_sizes(self._request(), records)
-            assert sum(sizes) <= records
+    def test_random_search_killed_between_chunks(self, tmp_path):
+        # 140 evaluations cost in pools of 64; the kill lands at record 100,
+        # inside the second pool.
+        self._kill_and_resume(
+            tmp_path,
+            kill_at=100,
+            every=10,
+            strategy="random",
+            search_space="lens-vgg",
+            num_initial=60,
+            num_iterations=80,
+        )
+
+    def test_mobo_search_killed_inside_a_batched_step(self, tmp_path):
+        # 3 initial evaluations, then steps of two: the kill lands after the
+        # first evaluation of the first step.
+        self._kill_and_resume(tmp_path, kill_at=4, every=1, batch_size=2)
 
 
 # ---------------------------------------------------------------- end to end

@@ -1,9 +1,10 @@
-"""Batched-vs-scalar parity of the candidate-evaluation hot path.
+"""Correctness of the one candidate-costing path.
 
 The batched engine (`predict_batch` / `PartitionAnalyzer.evaluate_batch` /
 `EvaluationEngine.evaluate_batch` / `PartitionAwareEvaluator.evaluate_pool`)
-must reproduce the scalar reference path to <= 1e-9 for any architecture of
-any registered search space under any channel mix, and the engine's
+must reproduce the scalar Algorithm 1 oracle below to <= 1e-9 for any
+architecture of any registered search space under any channel mix, must give
+bit-identical records however a pool is grouped or ordered, and the engine's
 hit/miss counters must account for every pool position.
 """
 
@@ -18,13 +19,18 @@ from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
 from repro.core.evaluation import PartitionAwareEvaluator, space_partition_graph
 from repro.accuracy.surrogate import AccuracySurrogate
-from repro.hardware.device import jetson_tx2_gpu
+from repro.hardware.device import cloud_server, jetson_tx2_gpu
 from repro.hardware.predictors import (
     LayerPerformancePredictor,
     OracleLayerPredictor,
 )
 from repro.optim.mobo import MultiObjectiveBayesianOptimizer
-from repro.partition.partitioner import PartitionAnalyzer
+from repro.partition.deployment import DeploymentMetrics, DeploymentOption
+from repro.partition.partitioner import (
+    PartitionAnalyzer,
+    PartitionEvaluation,
+    identify_partition_points,
+)
 from repro.wireless.channel import WirelessChannel
 
 PARITY = 1e-9
@@ -56,6 +62,96 @@ def _oracle():
 def _trained():
     return LayerPerformancePredictor.train_for_device(
         jetson_tx2_gpu(), samples_per_type=40, seed=7
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _trained_cloud():
+    return LayerPerformancePredictor.train_for_device(
+        cloud_server(), samples_per_type=40, seed=7
+    )
+
+
+def scalar_costing_oracle(analyzer, architecture, predictions=None, graph=None):
+    """Algorithm 1 for one architecture as a plain loop over its cut points.
+
+    The reference the batched costing is checked against: per-layer prefix
+    sums, then one ``channel.cost`` per deployment option, with the cloud
+    compute of the offloaded suffix (when the analyzer has a cloud
+    predictor) re-summed per cut.
+    """
+    summaries = architecture.summarize()
+    if predictions is None:
+        predictions = analyzer.predictor.predict_architecture(architecture)
+    assert len(predictions) == len(summaries)
+    channel = analyzer.channel
+    latencies = np.array([p.latency_s for p in predictions])
+    energies = np.array([p.energy_j for p in predictions])
+    cumulative_latency = np.cumsum(latencies)
+    cumulative_energy = np.cumsum(energies)
+    input_bytes = architecture.input_bytes
+    # cloud_suffix[i]: cloud compute latency of layers i..end.
+    cloud_suffix = [0.0] * (len(summaries) + 1)
+    if analyzer.cloud_predictor is not None:
+        cloud = [
+            p.latency_s
+            for p in analyzer.cloud_predictor.predict_architecture(architecture)
+        ]
+        cloud_suffix = [sum(cloud[first:]) for first in range(len(cloud) + 1)]
+
+    cloud_cost = channel.cost(input_bytes)
+    options = [
+        DeploymentMetrics(
+            option=DeploymentOption.all_cloud(),
+            latency_s=cloud_cost.latency_s + cloud_suffix[0],
+            energy_j=cloud_cost.energy_j,
+            edge_latency_s=0.0,
+            edge_energy_j=0.0,
+            comm_latency_s=cloud_cost.latency_s,
+            comm_energy_j=cloud_cost.energy_j,
+            transferred_bytes=float(input_bytes),
+        ),
+        DeploymentMetrics(
+            option=DeploymentOption.all_edge(),
+            latency_s=float(cumulative_latency[-1]),
+            energy_j=float(cumulative_energy[-1]),
+            edge_latency_s=float(cumulative_latency[-1]),
+            edge_energy_j=float(cumulative_energy[-1]),
+            comm_latency_s=0.0,
+            comm_energy_j=0.0,
+            transferred_bytes=0.0,
+        ),
+    ]
+    partition_points = identify_partition_points(
+        summaries,
+        input_bytes,
+        require_shrinkage=analyzer.require_shrinkage,
+        graph=graph if graph is not None else architecture.partition_graph(),
+    )
+    for index in partition_points:
+        transfer_bytes = float(summaries[index].output_bytes)
+        comm_cost = channel.cost(transfer_bytes)
+        edge_latency = float(cumulative_latency[index])
+        edge_energy = float(cumulative_energy[index])
+        options.append(
+            DeploymentMetrics(
+                option=DeploymentOption.split_after(index, summaries[index].name),
+                latency_s=edge_latency + comm_cost.latency_s + cloud_suffix[index + 1],
+                energy_j=edge_energy + comm_cost.energy_j,
+                edge_latency_s=edge_latency,
+                edge_energy_j=edge_energy,
+                comm_latency_s=comm_cost.latency_s,
+                comm_energy_j=comm_cost.energy_j,
+                transferred_bytes=transfer_bytes,
+            )
+        )
+    return PartitionEvaluation(
+        architecture_name=architecture.name,
+        options=tuple(options),
+        layer_latencies_s=tuple(float(v) for v in latencies),
+        layer_energies_j=tuple(float(v) for v in energies),
+        layer_output_bytes=tuple(int(s.output_bytes) for s in summaries),
+        partition_point_indices=tuple(partition_points),
     )
 
 
@@ -96,7 +192,7 @@ def _assert_evaluations_match(scalar_eval, batched_eval, tolerance=PARITY):
 def test_analyzer_batch_matches_scalar_across_spaces(
     space_name, seed, pool_size, uplinks, round_trip
 ):
-    """analyzer.evaluate_batch == analyzer.evaluate for random candidates."""
+    """analyzer.evaluate_batch matches the scalar oracle for random candidates."""
     space = _space(space_name)
     predictor = _oracle()
     rng = np.random.default_rng(seed)
@@ -114,8 +210,11 @@ def test_analyzer_batch_matches_scalar_across_spaces(
             predictor.predict_layer(s) for s in architecture.summarize()
         )
         for ci, channel in enumerate(channels):
-            scalar = analyzer.with_channel(channel).evaluate(
-                architecture, predictions=predictions, graph=graphs[i]
+            scalar = scalar_costing_oracle(
+                analyzer.with_channel(channel),
+                architecture,
+                predictions=predictions,
+                graph=graphs[i],
             )
             _assert_evaluations_match(scalar, batched[i][ci])
 
@@ -127,7 +226,7 @@ def test_analyzer_batch_matches_scalar_across_spaces(
     pool_size=st.integers(1, 4),
 )
 def test_predict_batch_matches_predict_layer(space_name, seed, pool_size):
-    """The vectorised per-family predictor equals the per-layer scalar path."""
+    """The vectorised per-family predictor equals predict_layer exactly."""
     space = _space(space_name)
     predictor = _trained()
     rng = np.random.default_rng(seed)
@@ -139,17 +238,13 @@ def test_predict_batch_matches_predict_layer(space_name, seed, pool_size):
         reference = [
             predictor.predict_layer(s) for s in architecture.summarize()
         ]
-        assert len(predictions) == len(reference)
-        for got, want in zip(predictions, reference):
-            assert abs(got.latency_s - want.latency_s) <= PARITY
-            assert abs(got.power_w - want.power_w) <= PARITY
-            assert abs(got.energy_j - want.energy_j) <= PARITY
+        assert list(predictions) == reference
 
 
 @settings(max_examples=10, deadline=None)
 @given(space_name=st.sampled_from(SPACE_NAMES), seed=st.integers(0, 2**31 - 1))
 def test_evaluate_pool_matches_evaluate_genotype(space_name, seed):
-    """evaluate_pool produces the records evaluate_genotype would, in order."""
+    """evaluate_pool produces exactly the records evaluate_genotype would."""
     space = _space(space_name)
     channel = WirelessChannel.create("wifi", uplink_mbps=3.0)
     analyzer = PartitionAnalyzer(_oracle(), channel)
@@ -165,44 +260,84 @@ def test_evaluate_pool_matches_evaluate_genotype(space_name, seed):
     pooled = pool_evaluator.evaluate_pool(genotypes)
     for genotype, (objectives, metadata) in zip(genotypes, pooled):
         ref_objectives, ref_metadata = scalar_evaluator.evaluate_genotype(genotype)
-        np.testing.assert_allclose(objectives, ref_objectives, rtol=0, atol=PARITY)
-        got = metadata["evaluation"]
-        want = ref_metadata["evaluation"]
-        assert got.genotype == want.genotype
-        assert got.architecture_name == want.architecture_name
-        assert got.best_latency_option == want.best_latency_option
-        assert got.best_energy_option == want.best_energy_option
-        assert abs(got.latency_s - want.latency_s) <= PARITY
-        assert abs(got.energy_j - want.energy_j) <= PARITY
-        assert abs(got.all_edge_latency_s - want.all_edge_latency_s) <= PARITY
-        assert got.extras["num_partition_points"] == want.extras["num_partition_points"]
+        assert np.array_equal(objectives, ref_objectives)
+        assert metadata["evaluation"] == ref_metadata["evaluation"]
 
 
 # ---------------------------------------------------------------------- cloud suffix
 
 def test_cloud_suffix_reversed_cumsum_matches_per_cut_resum():
-    """The reversed-cumsum cloud suffix equals the per-cut re-walk it replaced."""
+    """Cloud compute in evaluate equals the per-cut re-walk of the suffix."""
     space = _space("lens-vgg")
     rng = np.random.default_rng(3)
     architecture = space.decode_for_performance(space.sample(rng))
-    edge = _oracle()
-    cloud = OracleLayerPredictor(jetson_tx2_gpu())
+    cloud = OracleLayerPredictor(cloud_server())
     channel = WirelessChannel.create("wifi", uplink_mbps=3.0)
-    analyzer = PartitionAnalyzer(edge, channel, cloud_predictor=cloud)
+    analyzer = PartitionAnalyzer(_oracle(), channel, cloud_predictor=cloud)
 
-    suffix = analyzer._cloud_suffix_latencies(architecture)
+    evaluation = analyzer.evaluate(architecture)
     summaries = architecture.summarize()
-    assert suffix is not None and len(suffix) == len(summaries) + 1
-    for first in range(len(summaries) + 1):
-        reference = sum(
-            cloud.predict_layer(s).latency_s for s in summaries[first:]
+    cloud_latencies = [cloud.predict_layer(s).latency_s for s in summaries]
+    for metrics in evaluation.options:
+        if metrics.option.is_split:
+            offloaded = cloud_latencies[metrics.option.split_index + 1 :]
+        elif metrics.option == DeploymentOption.all_cloud():
+            offloaded = cloud_latencies
+        else:
+            offloaded = []
+        cloud_compute = (
+            metrics.latency_s - metrics.edge_latency_s - metrics.comm_latency_s
         )
-        assert abs(suffix[first] - reference) <= PARITY
-    # All-Cloud / split latencies pick up the suffix in both paths.
-    scalar = analyzer.evaluate(architecture)
-    batched = analyzer.evaluate_batch([architecture])[0][0]
-    _assert_evaluations_match(scalar, batched)
-    assert scalar.all_cloud.latency_s > channel.cost(architecture.input_bytes).latency_s
+        assert abs(cloud_compute - sum(offloaded)) <= PARITY
+    _assert_evaluations_match(
+        scalar_costing_oracle(analyzer, architecture), evaluation
+    )
+    assert evaluation.all_cloud.latency_s > channel.cost(architecture.input_bytes).latency_s
+
+
+# ---------------------------------------------------------------------- pool composition
+
+@settings(max_examples=25, deadline=None)
+@given(
+    space_name=st.sampled_from(SPACE_NAMES),
+    seed=st.integers(0, 2**31 - 1),
+    pool_size=st.integers(2, 12),
+    with_cloud=st.booleans(),
+)
+def test_costing_is_independent_of_pool_composition(
+    space_name, seed, pool_size, with_cloud
+):
+    """A pool, its shuffle and each pool-of-one give identical records."""
+    space = _space(space_name)
+    rng = np.random.default_rng(seed)
+    architectures = [
+        space.decode_for_performance(space.sample(rng)) for _ in range(pool_size)
+    ]
+    graphs = [space_partition_graph(space, a) for a in architectures]
+    channels = [
+        WirelessChannel.create("wifi", uplink_mbps=3.0),
+        WirelessChannel.create("lte", uplink_mbps=1.1, round_trip_s=0.05),
+    ]
+    analyzer = PartitionAnalyzer(
+        _trained(),
+        channels[0],
+        cloud_predictor=_trained_cloud() if with_cloud else None,
+    )
+    pooled = analyzer.evaluate_batch(architectures, channels=channels, graphs=graphs)
+    order = rng.permutation(pool_size)
+    shuffled = analyzer.evaluate_batch(
+        [architectures[i] for i in order],
+        channels=channels,
+        graphs=[graphs[i] for i in order],
+    )
+    for position, i in enumerate(order):
+        assert shuffled[position] == pooled[i]
+    for i, (architecture, graph) in enumerate(zip(architectures, graphs)):
+        alone = analyzer.evaluate_batch([architecture], channels=channels, graphs=[graph])
+        assert alone[0] == pooled[i]
+        for ci, channel in enumerate(channels):
+            single = analyzer.with_channel(channel).evaluate(architecture, graph=graph)
+            assert single == pooled[i][ci]
 
 
 # ---------------------------------------------------------------------- engine stats
@@ -323,7 +458,7 @@ class TestEngineBatchStats:
         assert engine.stats.partition_hits == 9 - 4
 
     def test_cloud_predictor_batch_matches_scalar(self, channels):
-        """Batched cloud-suffix costing equals the scalar cloud path."""
+        """Batched cloud-suffix costing matches the scalar oracle."""
         space = _space("lens-vgg")
         rng = np.random.default_rng(13)
         architectures = [
@@ -335,7 +470,9 @@ class TestEngineBatchStats:
         batched = analyzer.evaluate_batch(architectures, channels=channels)
         for i, architecture in enumerate(architectures):
             for ci, channel in enumerate(channels):
-                scalar = analyzer.with_channel(channel).evaluate(architecture)
+                scalar = scalar_costing_oracle(
+                    analyzer.with_channel(channel), architecture
+                )
                 _assert_evaluations_match(scalar, batched[i][ci])
 
     def test_graph_override_isolated_in_batch_cache(self, engine, channels):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.optim.pareto import (
     FrontHistory,
     ParetoArchive,
-    _pareto_front_mask_reference,
     combined_front_composition,
     compute_front_history,
     coverage,
@@ -20,6 +19,28 @@ from repro.optim.pareto import (
     pareto_front_indices,
     pareto_front_mask,
 )
+
+
+def pareto_front_mask_oracle(objectives: np.ndarray) -> np.ndarray:
+    """O(n^2 k) loop over the :func:`dominates` rule: the front-mask oracle.
+
+    A row holding NaN compares false both ways, so it neither dominates nor
+    is dominated and always stays on the front.
+    """
+    Y = np.atleast_2d(np.asarray(objectives, dtype=float))
+    n = Y.shape[0]
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not mask[i]:
+            continue
+        dominated_by_i = np.all(Y >= Y[i], axis=1) & np.any(Y > Y[i], axis=1)
+        mask &= ~dominated_by_i
+        mask[i] = True
+        # If someone else dominates i, drop it.
+        dominates_i = np.all(Y <= Y[i], axis=1) & np.any(Y < Y[i], axis=1)
+        if np.any(dominates_i & mask):
+            mask[i] = False
+    return mask
 
 
 def _monte_carlo_hypervolume(points, reference, num_samples=40000, seed=0):
@@ -83,7 +104,7 @@ class TestFrontMask:
         n = int(rng.integers(1, 300))
         k = int(rng.integers(1, 5))
         Y = rng.uniform(size=(n, k))
-        assert np.array_equal(pareto_front_mask(Y), _pareto_front_mask_reference(Y))
+        assert np.array_equal(pareto_front_mask(Y), pareto_front_mask_oracle(Y))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_equivalence_with_ties_and_duplicates(self, seed):
@@ -93,7 +114,7 @@ class TestFrontMask:
         Y = np.round(rng.uniform(size=(n, 3)) * 4) / 4
         duplicated = np.vstack([Y, Y[rng.integers(0, n, size=n // 2)]])
         assert np.array_equal(
-            pareto_front_mask(duplicated), _pareto_front_mask_reference(duplicated)
+            pareto_front_mask(duplicated), pareto_front_mask_oracle(duplicated)
         )
 
     def test_duplicates_of_front_points_all_survive_at_scale(self):
@@ -111,8 +132,24 @@ class TestFrontMask:
     def test_nan_rows_do_not_destroy_finite_front(self):
         """NaN objectives keep the loop-implementation semantics."""
         Y = np.array([[0.5, 0.5], [np.nan, 0.1], [0.2, 0.9], [0.6, 0.6]])
-        assert np.array_equal(pareto_front_mask(Y), _pareto_front_mask_reference(Y))
+        assert np.array_equal(pareto_front_mask(Y), pareto_front_mask_oracle(Y))
         assert list(pareto_front_mask(Y)[:3]) == [True, True, True]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(0, 40),
+        k=st.integers(1, 4),
+        nan_share=st.floats(0.0, 1.0),
+    )
+    def test_matrices_with_nan_rows_match_the_oracle(self, seed, n, k, nan_share):
+        """NaN rows are kept; the finite rows get the sorted scan's front."""
+        rng = np.random.default_rng(seed)
+        Y = np.round(rng.uniform(size=(n, k)) * 4) / 4  # ties and duplicates
+        Y[rng.uniform(size=(n, k)) < nan_share / k] = np.nan
+        mask = pareto_front_mask(Y)
+        assert np.array_equal(mask, pareto_front_mask_oracle(Y))
+        assert mask[np.isnan(Y).any(axis=1)].all()
 
 
 class TestArchive:

@@ -19,6 +19,9 @@ runnable locally and in CI::
    instead of raising.
 5. Inject **NaN objectives** and assert the poisoned evaluations are
    quarantined while the search still completes its budget.
+6. Kill a ``batch_size=2`` search **inside a step** (after the first of the
+   step's two evaluations), resume it, and assert bitwise parity with
+   every recorded evaluation replayed.
 
 Exits non-zero with a diagnostic on any violation.
 """
@@ -38,6 +41,7 @@ from repro.api.engine import EvaluationEngine  # noqa: E402
 from repro.api.session import run_search  # noqa: E402
 from repro.resilience import FaultInjector, SearchCheckpoint  # noqa: E402
 from repro.resilience import faults  # noqa: E402
+from repro.resilience.checkpoint import HEALTH_LOG_FILENAME  # noqa: E402
 
 #: One small-but-real search: 4 init + 6 BO = 10 evaluations.
 REQUEST = dict(
@@ -52,6 +56,10 @@ REQUEST = dict(
 )
 CHECKPOINT_EVERY = 2
 KILL_AT_EVAL = 7  # mid-search: after the BO phase has begun
+
+#: The same search proposing two candidates per step: 4 init + 3 steps of 2.
+BATCHED_REQUEST = dict(REQUEST, batch_size=2)
+BATCHED_KILL_AT_EVAL = 7  # first evaluation of the second step (6, 7)
 
 #: Ladder rungs that prove degradation (as opposed to checkpoint traffic).
 LADDER_CODES = (
@@ -71,19 +79,24 @@ def _comparable(outcome) -> dict:
     return payload
 
 
-def _run_crash_child(checkpoint_dir: Path) -> subprocess.CompletedProcess:
+def _run_crash_child(
+    checkpoint_dir: Path,
+    request: dict = REQUEST,
+    kill_at: int = KILL_AT_EVAL,
+    every: int = CHECKPOINT_EVERY,
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_FAULT_KILL_AT_EVAL"] = str(KILL_AT_EVAL)
+    env["REPRO_FAULT_KILL_AT_EVAL"] = str(kill_at)
     child = (
         "import json, sys\n"
         "from repro.api.session import run_search\n"
         "request = json.loads(sys.argv[1])\n"
-        f"run_search(checkpoint_dir=sys.argv[2], checkpoint_every={CHECKPOINT_EVERY}, **request)\n"
+        f"run_search(checkpoint_dir=sys.argv[2], checkpoint_every={every}, **request)\n"
         "sys.exit(3)  # unreachable: the injected kill fires first\n"
     )
     return subprocess.run(
-        [sys.executable, "-c", child, json.dumps(REQUEST), str(checkpoint_dir)],
+        [sys.executable, "-c", child, json.dumps(request), str(checkpoint_dir)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
@@ -98,12 +111,12 @@ def main() -> int:
     failures = []
     print(f"workspace: {base}")
 
-    print("[1/5] golden uninterrupted run...")
+    print("[1/6] golden uninterrupted run...")
     golden = run_search(engine=EvaluationEngine(), **REQUEST)
     fingerprint = golden.request.fingerprint()
     print(f"      {len(golden)} candidates, fingerprint {fingerprint}")
 
-    print(f"[2/5] crash run: SIGKILL after evaluation {KILL_AT_EVAL}...")
+    print(f"[2/6] crash run: SIGKILL after evaluation {KILL_AT_EVAL}...")
     crashed = _run_crash_child(checkpoints)
     if crashed.returncode != -9:
         failures.append(
@@ -129,7 +142,7 @@ def main() -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
 
-    print("[3/5] resuming from the partial checkpoint...")
+    print("[3/6] resuming from the partial checkpoint...")
     resumed = run_search(
         engine=EvaluationEngine(),
         checkpoint_dir=checkpoints,
@@ -146,7 +159,7 @@ def main() -> int:
             f"health: {resumed.health}"
         )
 
-    print("[4/5] LinAlgError injection: the degradation ladder must absorb it...")
+    print("[4/6] LinAlgError injection: the degradation ladder must absorb it...")
     with faults.inject(FaultInjector(linalg_failures=50)):
         degraded = run_search(engine=EvaluationEngine(), **REQUEST)
     ladder_events = {c: degraded.health.get(c, 0) for c in LADDER_CODES}
@@ -158,7 +171,7 @@ def main() -> int:
         failures.append("LinAlg-degraded search produced no candidates")
     print(f"      completed with {dict((c, n) for c, n in ladder_events.items() if n)}")
 
-    print("[5/5] NaN-objective injection: poisoned evaluations must be quarantined...")
+    print("[5/6] NaN-objective injection: poisoned evaluations must be quarantined...")
     nan_indices = (2, 5)
     with faults.inject(FaultInjector(nan_evaluations=nan_indices)):
         poisoned = run_search(engine=EvaluationEngine(), **REQUEST)
@@ -176,13 +189,57 @@ def main() -> int:
         )
     print(f"      completed with {quarantined} quarantined evaluation(s)")
 
+    print(
+        f"[6/6] batch_size=2 crash run: SIGKILL after evaluation "
+        f"{BATCHED_KILL_AT_EVAL}, inside a step, then resume..."
+    )
+    batched_golden = run_search(engine=EvaluationEngine(), **BATCHED_REQUEST)
+    batched_checkpoints = base / "checkpoints-batched"
+    crashed = _run_crash_child(
+        batched_checkpoints, BATCHED_REQUEST, BATCHED_KILL_AT_EVAL, every=1
+    )
+    batched_dir = SearchCheckpoint.cell_dir(
+        batched_checkpoints, batched_golden.request.fingerprint()
+    )
+    partial = SearchCheckpoint.load(batched_dir)
+    recorded = None if partial is None else partial.num_evaluations
+    if crashed.returncode != -9 or recorded != BATCHED_KILL_AT_EVAL:
+        failures.append(
+            f"batched crash child exited {crashed.returncode} (expected -9) "
+            f"leaving {recorded} recorded evaluation(s), expected "
+            f"{BATCHED_KILL_AT_EVAL}"
+        )
+    else:
+        resumed = run_search(
+            engine=EvaluationEngine(),
+            checkpoint_dir=batched_checkpoints,
+            checkpoint_every=1,
+            **BATCHED_REQUEST,
+        )
+        events = [
+            json.loads(line)
+            for line in (batched_dir / HEALTH_LOG_FILENAME).read_text().splitlines()
+        ]
+        replayed = [e["context"]["replayed"] for e in events if e["code"] == "H_RESUMED"]
+        if replayed != [recorded]:
+            failures.append(
+                f"expected one H_RESUMED replaying all {recorded} recorded "
+                f"evaluation(s), health log says {replayed}"
+            )
+        if _comparable(resumed) != _comparable(batched_golden):
+            failures.append(
+                "batched resumed outcome is not bitwise-identical to its golden run"
+            )
+        else:
+            print(f"      bitwise parity OK, replayed all {recorded} evaluation(s)")
+
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
         "OK: kill/resume bitwise parity, LinAlg degradation absorbed, "
-        "NaN evaluations quarantined"
+        "NaN evaluations quarantined, mid-batch kill/resume bitwise parity"
     )
     return 0
 
