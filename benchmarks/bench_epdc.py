@@ -7,8 +7,10 @@ This benchmark guards the two claims that rework makes:
 * **Parity** — the batched while-loop is a pure superset of the old for-loop:
   with ``batch_size=1`` the legacy strategies (``ts``/``ucb``/``mean``) must
   still walk the *byte-identical* candidate sequences recorded in
-  ``tests/data/golden_incremental_sequences.json`` before the rework.  This
-  gate is asserted on every run (it is what the CI smoke job enforces).
+  ``tests/data/golden_incremental_sequences.json`` before the rework, and
+  ``epdc`` the sequence recorded while it still refactored the posterior
+  for every Monte-Carlo draw.  This gate is asserted on every run (it is
+  what the CI smoke job enforces).
 * **Front quality** — at an equal evaluation budget on the paper's
   ``lens-vgg`` space, an EPDC search with ``q = 4`` candidates per iteration
   should dominate at least as much objective volume as the default Thompson
@@ -60,8 +62,8 @@ OBJECTIVES = ("error_percent", "latency_s", "energy_j")
 #: Candidates selected per EPDC iteration (the q of q-batch selection).
 EPDC_BATCH_SIZE = 4
 
-#: Strategies checked against the pre-rework golden sequences.
-PARITY_STRATEGIES = ("ts", "ucb", "mean")
+#: Strategies checked against their recorded golden sequences.
+PARITY_STRATEGIES = ("ts", "ucb", "mean", "epdc")
 
 
 # ------------------------------------------------------------------ parity
@@ -83,7 +85,7 @@ def _objectives(candidate):
 
 
 def _golden_parity():
-    """Replay the pre-rework synthetic searches; count byte-level mismatches."""
+    """Replay the recorded synthetic searches; count byte-level mismatches."""
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["synthetic"]
     mismatches = 0
     for acquisition in PARITY_STRATEGIES:
@@ -218,7 +220,7 @@ def test_epdc_parity_throughput_and_hypervolume_at_budget():
     # Assertions come *after* save_table so a failing run still records its
     # figures (the CI job uploads them as an artifact).
     assert golden_mismatches == 0, (
-        "the batched acquisition loop changed a legacy strategy's seeded "
+        "the acquisition loop changed a strategy's seeded "
         f"candidate sequence ({golden_mismatches} strategy/strategies drifted)"
     )
     for label, (outcome, _) in runs.items():

@@ -11,7 +11,8 @@ This benchmark replays the surrogate phase of a search (the per-iteration
 ``MultiObjectiveBayesianOptimizer._fit_models`` does) three ways:
 
 * ``legacy-cold`` — the pre-bank behaviour: k separate ``GaussianProcess.fit``
-  calls per iteration;
+  calls per iteration, read back through the per-model oracle of
+  ``tests/test_optim_gp_bank.py``;
 * ``bank-cold`` — the bank in ``"exact-refit"`` mode (shared factorisation,
   still cold every iteration);
 * ``incremental`` — the bank's rank-1 fast path (the default).
@@ -48,6 +49,7 @@ from repro.optim.scalarization import normalize_objectives
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from test_front_history_incremental import front_history_oracle  # noqa: E402
+from test_optim_gp_bank import per_model_predict  # noqa: E402
 from test_optim_pareto import pareto_front_mask_oracle  # noqa: E402
 
 #: Final evaluation counts replayed by the surrogate-phase benchmark.
@@ -119,8 +121,7 @@ def _replay_legacy(X: np.ndarray, Y: np.ndarray) -> tuple:
 
 def _max_posterior_divergence(bank: GPBank, models, probe: np.ndarray) -> float:
     mean_inc, std_inc = bank.predict(probe)
-    mean_ref = np.column_stack([m.predict(probe)[0] for m in models])
-    std_ref = np.column_stack([m.predict(probe)[1] for m in models])
+    mean_ref, std_ref = per_model_predict(models, probe)
     return float(
         max(np.max(np.abs(mean_inc - mean_ref)), np.max(np.abs(std_inc - std_ref)))
     )

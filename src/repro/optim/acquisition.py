@@ -9,21 +9,21 @@ scalarises the per-objective scores and picks the pool member with the best
 
 All objectives are minimised, so *lower scores are better* for every strategy.
 
-Every strategy accepts either a plain sequence of per-objective
-:class:`~repro.optim.gp.GaussianProcess` models or a
-:class:`~repro.optim.gp_bank.GPBank`.  With a homogeneous bank the expensive
-shared pieces — the pool cross-covariance, the triangular solve and (for
-Thompson sampling) the posterior covariance factor — are computed once for
-all objectives instead of once per objective, which is the acquisition-side
-half of the incremental surrogate fast path.
+Every strategy scores through a :class:`~repro.optim.gp_bank.GPBank`.
+With a homogeneous bank the expensive shared pieces — the pool
+cross-covariance, the triangular solve and (for Thompson sampling) the
+posterior covariance factor — are computed once for all objectives instead
+of once per objective, which is the acquisition-side half of the incremental
+surrogate fast path.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
+from repro.optim.epdc import epdc_score_matrix
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.utils.rng import SeedLike, ensure_rng
@@ -32,12 +32,9 @@ from repro.utils.validation import require_non_negative
 #: Acquisition strategy names accepted by the optimizers.
 ACQUISITION_STRATEGIES = ("ts", "ucb", "mean", "random", "epdc")
 
-#: Either a bank or a plain per-objective model sequence.
-Models = Union[Sequence[GaussianProcess], GPBank]
-
 
 def thompson_scores(
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     rng: SeedLike = None,
 ) -> np.ndarray:
@@ -47,19 +44,11 @@ def thompson_scores(
     Minimising a scalarisation of these samples implements multi-objective
     Thompson sampling, the strategy Dragonfly uses by default.
     """
-    rng = ensure_rng(rng)
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if isinstance(models, GPBank):
-        return models.thompson_matrix(pool_features, rng=rng)
-    columns: List[np.ndarray] = []
-    for model in models:
-        sample = model.sample_posterior(pool_features, rng=rng, num_samples=1)[0]
-        columns.append(sample)
-    return np.column_stack(columns)
+    return bank.thompson_draws(pool_features, rng=rng, num_samples=1)[0]
 
 
 def lcb_scores(
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     beta: float = 2.0,
 ) -> np.ndarray:
@@ -69,28 +58,14 @@ def lcb_scores(
     uncertainty receive low (attractive) scores.
     """
     require_non_negative(beta, "beta")
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if isinstance(models, GPBank):
-        mean, std = models.predict(pool_features, return_std=True)
-        return mean - beta * std
-    columns: List[np.ndarray] = []
-    for model in models:
-        mean, std = model.predict(pool_features, return_std=True)
-        columns.append(mean - beta * std)
-    return np.column_stack(columns)
+    mean, std = bank.predict(pool_features, return_std=True)
+    return mean - beta * std
 
 
-def mean_scores(models: Models, pool_features: np.ndarray) -> np.ndarray:
+def mean_scores(bank: GPBank, pool_features: np.ndarray) -> np.ndarray:
     """Pure-exploitation scores: the posterior means."""
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if isinstance(models, GPBank):
-        mean, _ = models.predict(pool_features, return_std=False)
-        return mean
-    columns: List[np.ndarray] = []
-    for model in models:
-        mean, _ = model.predict(pool_features, return_std=False)
-        columns.append(mean)
-    return np.column_stack(columns)
+    mean, _ = bank.predict(pool_features, return_std=False)
+    return mean
 
 
 def expected_improvement(
@@ -116,7 +91,7 @@ def expected_improvement(
 
 def acquisition_scores(
     strategy: str,
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     rng: SeedLike = None,
     beta: float = 2.0,
@@ -139,18 +114,16 @@ def acquisition_scores(
     pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
     if strategy == "random":
         rng = ensure_rng(rng)
-        return rng.uniform(size=(pool_features.shape[0], len(models)))
+        return rng.uniform(size=(pool_features.shape[0], len(bank)))
     if strategy == "ts":
-        return thompson_scores(models, pool_features, rng=rng)
+        return thompson_scores(bank, pool_features, rng=rng)
     if strategy == "ucb":
-        return lcb_scores(models, pool_features, beta=beta)
+        return lcb_scores(bank, pool_features, beta=beta)
     if strategy == "epdc":
-        from repro.optim.epdc import epdc_score_matrix  # local: avoids a cycle
-
         if front is None:
             raise ValueError(
                 "the 'epdc' strategy needs the current Pareto front "
                 "(pass front=...)"
             )
-        return epdc_score_matrix(models, pool_features, front, rng=rng)
-    return mean_scores(models, pool_features)
+        return epdc_score_matrix(bank, pool_features, front, rng=rng)
+    return mean_scores(bank, pool_features)

@@ -12,10 +12,9 @@ front contribute their distance to it.
 Two pieces live here:
 
 * :func:`epdc_scores` — the front-aware acquisition value per pool
-  candidate, computed from shared posterior draws
-  (:func:`~repro.optim.acquisition.thompson_scores`, so the
-  :class:`~repro.optim.gp_bank.GPBank` fast path is reused and bank-vs-list
-  parity carries over);
+  candidate, computed from joint posterior draws that all share one
+  posterior factor per acquisition step
+  (:meth:`~repro.optim.gp_bank.GPBank.thompson_draws`);
 * :func:`select_batch` — greedy sequential selection of ``q`` diverse
   candidates per iteration: each pick pays a similar-design penalty against
   the already-selected set (squared-exponential in encoding space), so one
@@ -30,17 +29,18 @@ distances weigh every objective equally regardless of raw units.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.optim.acquisition import Models, thompson_scores
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.optim.gp_bank import GPBank
+from repro.utils.rng import SeedLike
 from repro.utils.validation import require_positive
 
 #: Posterior draws per EPDC evaluation.  Each draw is one joint Thompson
-#: sample over the whole pool, so the cost is ``num_samples`` bank draws —
-#: cheap on the shared-Cholesky fast path.
+#: sample over the whole pool.  All draws of a step share one posterior
+#: factorisation, so the cost is one O(n^3) factorisation of the pool
+#: covariance plus ``num_samples`` O(n^2) draws.
 DEFAULT_EPDC_SAMPLES = 16
 
 #: Default similar-design penalty weight for :func:`select_batch`.  Tuned
@@ -84,7 +84,7 @@ def pareto_distance_contributions(
 
 
 def epdc_scores(
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     front: np.ndarray,
     rng: SeedLike = None,
@@ -92,26 +92,23 @@ def epdc_scores(
 ) -> np.ndarray:
     """Expected Pareto Distance Change per pool candidate (*higher* is better).
 
-    Draws ``num_samples`` joint posterior samples over the pool (one
-    :func:`~repro.optim.acquisition.thompson_scores` call each, so
-    :class:`~repro.optim.gp_bank.GPBank` and per-model sequences give the
-    same decisions) and averages each candidate's
-    :func:`pareto_distance_contributions` against the current front.
-    Returns an ``(n_pool,)`` vector.
+    Draws ``num_samples`` joint posterior samples over the pool from one
+    posterior factor (:meth:`~repro.optim.gp_bank.GPBank.thompson_draws`,
+    in the order ``num_samples`` single Thompson draws would take) and
+    averages each candidate's :func:`pareto_distance_contributions` against
+    the current front.  Returns an ``(n_pool,)`` vector.
     """
     require_positive(num_samples, "num_samples")
-    rng = ensure_rng(rng)
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
     front = np.atleast_2d(np.asarray(front, dtype=float))
-    total = np.zeros(pool_features.shape[0])
-    for _ in range(num_samples):
-        sample = thompson_scores(models, pool_features, rng=rng)
+    draws = bank.thompson_draws(pool_features, rng=rng, num_samples=num_samples)
+    total = np.zeros(draws.shape[1])
+    for sample in draws:
         total += pareto_distance_contributions(sample, front)
     return total / float(num_samples)
 
 
 def epdc_score_matrix(
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     front: np.ndarray,
     rng: SeedLike = None,
@@ -126,10 +123,10 @@ def epdc_score_matrix(
     expected front movement without any special-casing downstream.
     """
     scores = epdc_scores(
-        models, pool_features, front, rng=rng, num_samples=num_samples
+        bank, pool_features, front, rng=rng, num_samples=num_samples
     )
     front = np.atleast_2d(np.asarray(front, dtype=float))
-    num_objectives = front.shape[1] if front.size else len(models)
+    num_objectives = front.shape[1] if front.size else len(bank)
     return np.tile(-scores[:, None], (1, num_objectives))
 
 

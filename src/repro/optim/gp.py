@@ -416,12 +416,24 @@ class GaussianProcess:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         rng = ensure_rng(rng)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+        mean, chol = self.posterior_factor(Xs)
+        normals = rng.standard_normal((num_samples, Xs.shape[0]))
+        return mean[None, :] + normals @ chol.T
+
+    def posterior_factor(self, Xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and jittered covariance Cholesky factor at ``Xs``.
+
+        Both are in original target units: a joint draw is
+        ``mean + normals @ chol.T``.  Factoring once and drawing many times
+        is what :meth:`sample_posterior` and the model bank's
+        :meth:`~repro.optim.gp_bank.GPBank.thompson_draws` do.
+        """
+        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         mean, _ = self.predict(Xs, return_std=False)
         cov = self.posterior_covariance(Xs)
         cov[np.diag_indices_from(cov)] += DEFAULT_JITTER * self._y_std**2
         chol = escalating_cholesky(cov, health=self.health, site="sample_posterior")
-        normals = rng.standard_normal((num_samples, Xs.shape[0]))
-        return mean[None, :] + normals @ chol.T
+        return mean, chol
 
     # ------------------------------------------------------------------ model selection
     def log_marginal_likelihood(self) -> float:

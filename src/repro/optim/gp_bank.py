@@ -16,6 +16,8 @@ once and reuses them for fitting, prediction and acquisition scoring:
   the triangular solve ``v = L^-1 Ks`` and (for sampling) the posterior
   covariance factor are computed once; per-objective means/samples are cheap
   mat-vecs against each model's ``alpha`` plus a rescale by its target std.
+  One factor serves all the Monte-Carlo draws of an acquisition step
+  (:meth:`GPBank.thompson_draws`).
 
 When per-objective lengthscale refreshes diverge the hyperparameters
 (:meth:`refresh_lengthscales`), the bank transparently falls back to
@@ -393,33 +395,46 @@ class GPBank:
         stds = np.column_stack([std_latent * m._y_std for m in self.models])
         return means, stds
 
-    def thompson_matrix(self, Xs: np.ndarray, rng: SeedLike = None) -> np.ndarray:
-        """One joint posterior draw per objective — an ``(n, k)`` score matrix.
+    def thompson_draws(
+        self, Xs: np.ndarray, rng: SeedLike = None, num_samples: int = 1
+    ) -> np.ndarray:
+        """``num_samples`` joint posterior draws per objective — ``(S, n, k)``.
 
-        On the homogeneous path the posterior covariance factor is computed
-        once in standardised units and rescaled per objective (the latent
-        covariances are proportional: ``cov_k = y_std_k^2 * cov_latent``).
-        Random draws happen per objective, in objective order, with the same
-        shapes as the per-model path, so a given RNG stream produces the
-        same candidate decisions either way.
+        The posterior is factored once per call and serves every draw.  On
+        the homogeneous path that factor is computed in standardised units
+        and rescaled per objective (the latent covariances are proportional:
+        ``cov_k = y_std_k^2 * cov_latent``); after a lengthscale refresh each
+        member model is factored once instead.  Random draws happen sample
+        by sample, objective by objective, one ``(1, n)`` normal row each —
+        the order ``num_samples`` successive single-draw calls would use —
+        so a given RNG stream produces the same candidate decisions however
+        the draws are grouped.
         """
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         rng = ensure_rng(rng)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         if not self.is_fitted:
             raise RuntimeError("GPBank must be fitted before sampling")
-        if not self._homogeneous:
-            return np.column_stack(
-                [m.sample_posterior(Xs, rng=rng, num_samples=1)[0] for m in self.models]
-            )
-        leader = self.models[0]
-        Ks, v = self._shared_solve(Xs)
-        cov = leader.kernel(Xs, Xs) - v.T @ v
-        cov[np.diag_indices_from(cov)] = np.maximum(np.diag(cov), 1e-12)
-        cov[np.diag_indices_from(cov)] += DEFAULT_JITTER
-        chol = escalating_cholesky(cov, health=self.health, site="thompson")
-        columns = []
-        for model in self.models:
-            mean = Ks.T @ model._alpha * model._y_std + model._y_mean
-            normals = rng.standard_normal((1, Xs.shape[0]))
-            columns.append(mean + (normals @ chol.T)[0] * model._y_std)
-        return np.column_stack(columns)
+        if self._homogeneous:
+            leader = self.models[0]
+            Ks, v = self._shared_solve(Xs)
+            cov = leader.kernel(Xs, Xs) - v.T @ v
+            cov[np.diag_indices_from(cov)] = np.maximum(np.diag(cov), 1e-12)
+            cov[np.diag_indices_from(cov)] += DEFAULT_JITTER
+            chol = escalating_cholesky(cov, health=self.health, site="thompson")
+            factors = [
+                (Ks.T @ m._alpha * m._y_std + m._y_mean, chol, m._y_std)
+                for m in self.models
+            ]
+        else:
+            # A member's own factor is already in target units (scale 1.0,
+            # an exact no-op multiply).
+            factors = [(*m.posterior_factor(Xs), 1.0) for m in self.models]
+        n = Xs.shape[0]
+        draws = np.empty((num_samples, n, self.num_objectives))
+        for s in range(num_samples):
+            for k, (mean, chol, scale) in enumerate(factors):
+                normals = rng.standard_normal((1, n))
+                draws[s, :, k] = mean + (normals @ chol.T)[0] * scale
+        return draws

@@ -5,6 +5,11 @@ pre-incremental code (cold per-model GP refits every iteration).  These tests
 assert that the shared-Cholesky bank — in both its ``"incremental"`` fast
 mode and its ``"exact-refit"`` fallback — drives seeded searches through the
 *identical* candidate sequences, i.e. the perf rework changed no decisions.
+
+The ``epdc``, ``epdc_q4``, ``epdc_refresh`` and ``resnet_epdc4_seed123``
+entries were recorded later, with the EPDC acquisition that drew each of its
+Monte-Carlo samples through a separate posterior factorisation; they pin that
+the one-factor-per-step draw path walks the same candidates.
 """
 
 import json
@@ -39,7 +44,9 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-def _synthetic_run(acquisition, seed, iterations, pool, refresh=0, gp_update=None):
+def _synthetic_run(
+    acquisition, seed, iterations, pool, refresh=0, gp_update=None, batch_size=1
+):
     return MultiObjectiveBayesianOptimizer(
         sample_fn=_sample,
         feature_fn=_features,
@@ -51,6 +58,7 @@ def _synthetic_run(acquisition, seed, iterations, pool, refresh=0, gp_update=Non
         acquisition=acquisition,
         optimize_lengthscale_every=refresh,
         gp_update=gp_update,
+        batch_size=batch_size,
         seed=seed,
     ).run()
 
@@ -71,6 +79,51 @@ def test_lengthscale_refresh_sequence_matches_pre_incremental_seed(golden):
     result = _synthetic_run("ts", seed=11, iterations=10, pool=32, refresh=3)
     expected = golden["synthetic"]["ts_refresh"]
     assert [list(map(int, p.candidate)) for p in result.points] == expected["candidates"]
+
+
+@pytest.mark.parametrize(
+    "key, batch_size", [("epdc", 1), ("epdc_q4", 4)]
+)
+@pytest.mark.parametrize("gp_update", ["incremental", "exact-refit"])
+def test_epdc_synthetic_sequences_match_recorded_seed(golden, key, batch_size, gp_update):
+    result = _synthetic_run(
+        "epdc", seed=7, iterations=12, pool=40, gp_update=gp_update, batch_size=batch_size
+    )
+    expected = golden["synthetic"][key]
+    assert [list(map(int, p.candidate)) for p in result.points] == expected["candidates"]
+    assert np.allclose(
+        [[float(v) for v in p.objectives] for p in result.points],
+        expected["objectives"],
+    )
+
+
+def test_epdc_lengthscale_refresh_sequence_matches_recorded_seed(golden):
+    """EPDC draws from a bank made heterogeneous by a lengthscale refresh."""
+    result = _synthetic_run("epdc", seed=11, iterations=10, pool=32, refresh=3)
+    expected = golden["synthetic"]["epdc_refresh"]
+    assert [list(map(int, p.candidate)) for p in result.points] == expected["candidates"]
+
+
+def test_run_search_epdc_batch_sequence_matches_recorded_seed(golden):
+    """End-to-end: an epdc q=4 search on resnet-v1 explores the recorded genotypes."""
+    outcome = run_search(
+        strategy="lens",
+        scenario="wifi-3mbps/jetson-tx2-gpu",
+        search_space="resnet-v1",
+        acquisition="epdc",
+        batch_size=4,
+        num_initial=4,
+        num_iterations=8,
+        candidate_pool_size=16,
+        predictor_samples_per_type=40,
+        seed=123,
+    )
+    expected = golden["run_search"]["resnet_epdc4_seed123"]
+    assert [list(map(int, c.genotype)) for c in outcome.candidates] == expected["genotypes"]
+    got_objectives = [
+        [c.error_percent, c.latency_s, c.energy_j] for c in outcome.candidates
+    ]
+    assert np.allclose(got_objectives, expected["objectives"], rtol=1e-9, atol=1e-12)
 
 
 def test_run_search_candidate_sequence_matches_pre_incremental_seed(golden):

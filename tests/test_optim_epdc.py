@@ -13,8 +13,11 @@ from repro.optim.epdc import (
 )
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
+from repro.optim.kernels import Matern52Kernel
 from repro.optim.mobo import MultiObjectiveBayesianOptimizer
 from repro.optim.pareto import pareto_front_mask
+from repro.resilience.health import HealthLog
+from test_optim_gp_bank import per_draw_thompson_matrix, per_model_epdc_scores
 
 
 def _training_data():
@@ -74,50 +77,89 @@ class TestDistanceContributions:
 
 
 class TestEpdcScores:
-    def test_shape_and_finiteness(self, fitted_models, rng):
+    def test_shape_and_finiteness(self, fitted_bank, rng):
         pool = rng.uniform(size=(12, 2))
-        scores = epdc_scores(fitted_models, pool, FRONT, rng=rng)
+        scores = epdc_scores(fitted_bank, pool, FRONT, rng=rng)
         assert scores.shape == (12,)
         assert np.all(np.isfinite(scores))
         assert np.all(scores >= 0.0)
 
-    def test_deterministic_under_seeded_rng(self, fitted_models, rng):
+    def test_deterministic_under_seeded_rng(self, fitted_bank, rng):
         pool = rng.uniform(size=(10, 2))
-        first = epdc_scores(fitted_models, pool, FRONT, rng=7)
-        second = epdc_scores(fitted_models, pool, FRONT, rng=7)
+        first = epdc_scores(fitted_bank, pool, FRONT, rng=7)
+        second = epdc_scores(fitted_bank, pool, FRONT, rng=7)
         assert np.array_equal(first, second)
 
     def test_bank_and_list_agree(self, fitted_models, fitted_bank, rng):
         """GPBank and per-model lists consume the RNG identically."""
         pool = rng.uniform(size=(10, 2))
-        from_list = epdc_scores(fitted_models, pool, FRONT, rng=3)
+        from_list = per_model_epdc_scores(fitted_models, pool, FRONT, rng=3)
         from_bank = epdc_scores(fitted_bank, pool, FRONT, rng=3)
         assert from_list == pytest.approx(from_bank, abs=1e-9)
 
-    def test_sample_count_validation(self, fitted_models, rng):
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_one_call_equals_the_per_draw_loop(self, fitted_bank, rng, refresh):
+        """Same scores, bit for bit, and the generator left in the same state."""
+        if refresh:
+            fitted_bank.refresh_lengthscales(candidates=(0.2, 0.5, 1.0))
+        pool = rng.uniform(size=(14, 2))
+        fast_rng, slow_rng = np.random.default_rng(21), np.random.default_rng(21)
+        scores = epdc_scores(fitted_bank, pool, FRONT, rng=fast_rng)
+        total = np.zeros(pool.shape[0])
+        for _ in range(DEFAULT_EPDC_SAMPLES):
+            sample = per_draw_thompson_matrix(fitted_bank, pool, slow_rng)
+            total += pareto_distance_contributions(sample, FRONT)
+        assert np.array_equal(scores, total / float(DEFAULT_EPDC_SAMPLES))
+        assert fast_rng.random() == slow_rng.random()
+
+    def test_ill_conditioned_pool_escalates_jitter_once_per_call(self, rng):
+        """One factor serves every draw, so one jitter event per call.
+
+        With kernel variance 1e10 the 1e-8 base jitter is below one ulp of
+        the pool covariance's diagonal, so duplicated pool rows far from the
+        data leave that covariance exactly singular until the jitter escalates.
+        """
+        X, y1, y2 = _training_data()
+        health = HealthLog()
+        bank = GPBank(
+            2,
+            kernel=Matern52Kernel(lengthscale=0.5, variance=1e10),
+            noise_variance=1e-6,
+            health=health,
+        ).fit(X, np.column_stack([y1, y2]))
+        distinct = rng.uniform(3.0, 4.0, size=(4, 2))
+        epdc_scores(bank, distinct, FRONT, rng=0)
+        assert len(health) == 0
+        pool = np.vstack([distinct, distinct])
+        for calls in (1, 2):
+            epdc_scores(bank, pool, FRONT, rng=0)
+            assert health.counters() == {"H_JITTER_ESCALATED": calls}
+        assert [event.context["site"] for event in health.events] == ["thompson"] * 2
+
+    def test_sample_count_validation(self, fitted_bank, rng):
         with pytest.raises(ValueError):
             epdc_scores(
-                fitted_models, rng.uniform(size=(4, 2)), FRONT, num_samples=0
+                fitted_bank, rng.uniform(size=(4, 2)), FRONT, num_samples=0
             )
 
-    def test_score_matrix_is_negated_and_tiled(self, fitted_models, rng):
+    def test_score_matrix_is_negated_and_tiled(self, fitted_bank, rng):
         pool = rng.uniform(size=(8, 2))
-        values = epdc_scores(fitted_models, pool, FRONT, rng=5)
-        matrix = epdc_score_matrix(fitted_models, pool, FRONT, rng=5)
+        values = epdc_scores(fitted_bank, pool, FRONT, rng=5)
+        matrix = epdc_score_matrix(fitted_bank, pool, FRONT, rng=5)
         assert matrix.shape == (8, 2)
         assert matrix[:, 0] == pytest.approx(-values)
         assert np.array_equal(matrix[:, 0], matrix[:, 1])
 
-    def test_dispatch_through_acquisition_scores(self, fitted_models, rng):
+    def test_dispatch_through_acquisition_scores(self, fitted_bank, rng):
         pool = rng.uniform(size=(6, 2))
-        direct = epdc_score_matrix(fitted_models, pool, FRONT, rng=11)
+        direct = epdc_score_matrix(fitted_bank, pool, FRONT, rng=11)
         dispatched = acquisition_scores(
-            "epdc", fitted_models, pool, rng=11, front=FRONT
+            "epdc", fitted_bank, pool, rng=11, front=FRONT
         )
         assert np.array_equal(direct, dispatched)
 
     def test_default_sample_count_is_modest(self):
-        # the MC loop runs once per draw; keep the default cheap
+        # every draw is an O(n^2) mat-vec per objective; keep the default cheap
         assert 1 <= DEFAULT_EPDC_SAMPLES <= 64
 
 

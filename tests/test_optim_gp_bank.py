@@ -1,12 +1,94 @@
-"""Tests for the incremental GP path and the shared-Cholesky model bank."""
+"""Tests for the incremental GP path and the shared-Cholesky model bank.
+
+Also home of the per-model oracle: scoring a plain list of per-objective
+:class:`GaussianProcess` models one by one, and drawing bank samples one
+factorisation per draw.  ``src/`` scores only through :class:`GPBank`; the
+bank's shared-factor paths are checked against these references here, in
+``test_optim_epdc.py``, in ``test_optim_acquisition_scalarization.py`` and in
+``benchmarks/bench_gp_hotpath.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.optim.acquisition import lcb_scores, mean_scores, thompson_scores
-from repro.optim.gp import GaussianProcess, triangular_solve
+from repro.optim.epdc import DEFAULT_EPDC_SAMPLES, pareto_distance_contributions
+from repro.optim.gp import (
+    DEFAULT_JITTER,
+    GaussianProcess,
+    escalating_cholesky,
+    triangular_solve,
+)
 from repro.optim.gp_bank import GPBank
 from repro.optim.kernels import Matern52Kernel, RBFKernel
+from repro.utils.rng import ensure_rng
+
+
+# ---------------------------------------------------------------------- oracle
+
+
+def per_model_predict(models, Xs):
+    """``(n, k)`` posterior means and stds, one model at a time."""
+    columns = [model.predict(Xs, return_std=True) for model in models]
+    return (
+        np.column_stack([mean for mean, _ in columns]),
+        np.column_stack([std for _, std in columns]),
+    )
+
+
+def per_model_thompson_scores(models, Xs, rng=None):
+    """One joint posterior draw per model, each from its own factorisation."""
+    rng = ensure_rng(rng)
+    return np.column_stack(
+        [model.sample_posterior(Xs, rng=rng, num_samples=1)[0] for model in models]
+    )
+
+
+def per_model_lcb_scores(models, Xs, beta=2.0):
+    mean, std = per_model_predict(models, Xs)
+    return mean - beta * std
+
+
+def per_model_mean_scores(models, Xs):
+    return per_model_predict(models, Xs)[0]
+
+
+def per_model_epdc_scores(models, Xs, front, rng=None, num_samples=DEFAULT_EPDC_SAMPLES):
+    """EPDC from ``num_samples`` separate per-model Thompson draws."""
+    rng = ensure_rng(rng)
+    total = np.zeros(np.atleast_2d(Xs).shape[0])
+    for _ in range(num_samples):
+        sample = per_model_thompson_scores(models, Xs, rng=rng)
+        total += pareto_distance_contributions(sample, front)
+    return total / float(num_samples)
+
+
+def per_draw_thompson_matrix(bank, Xs, rng):
+    """One ``(n, k)`` bank draw that refactors the posterior for itself.
+
+    The bank's single-draw arithmetic before one factor served several
+    draws: ``S`` calls of this on one generator are what
+    :meth:`GPBank.thompson_draws` must reproduce bit for bit.
+    """
+    Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+    if not bank.homogeneous:
+        return per_model_thompson_scores(bank.models, Xs, rng=rng)
+    leader = bank.models[0]
+    Ks = leader.kernel(leader._X, Xs)
+    v = triangular_solve(leader._chol, Ks)
+    cov = leader.kernel(Xs, Xs) - v.T @ v
+    cov[np.diag_indices_from(cov)] = np.maximum(np.diag(cov), 1e-12)
+    cov[np.diag_indices_from(cov)] += DEFAULT_JITTER
+    chol = escalating_cholesky(cov, health=bank.health, site="thompson")
+    columns = []
+    for model in bank.models:
+        mean = Ks.T @ model._alpha * model._y_std + model._y_mean
+        normals = rng.standard_normal((1, Xs.shape[0]))
+        columns.append(mean + (normals @ chol.T)[0] * model._y_std)
+    return np.column_stack(columns)
+
+
+# ---------------------------------------------------------------------- tests
 
 
 def _stream(rng, n, d=3):
@@ -140,7 +222,7 @@ class TestGPBank:
         bank, reference, X, _ = self._bank_and_models(rng)
         probe = rng.uniform(size=(20, X.shape[1]))
         fast = thompson_scores(bank, probe, rng=np.random.default_rng(5))
-        slow = thompson_scores(reference, probe, rng=np.random.default_rng(5))
+        slow = per_model_thompson_scores(reference, probe, rng=np.random.default_rng(5))
         assert fast.shape == slow.shape == (20, 3)
         assert np.allclose(fast, slow, atol=1e-7)
 
@@ -149,11 +231,11 @@ class TestGPBank:
         probe = rng.uniform(size=(9, X.shape[1]))
         assert np.allclose(
             lcb_scores(bank, probe, beta=1.5),
-            lcb_scores(reference, probe, beta=1.5),
+            per_model_lcb_scores(reference, probe, beta=1.5),
             atol=1e-10,
         )
         assert np.allclose(
-            mean_scores(bank, probe), mean_scores(reference, probe), atol=1e-10
+            mean_scores(bank, probe), per_model_mean_scores(reference, probe), atol=1e-10
         )
 
     def test_incremental_update_matches_cold_bank(self, rng):
@@ -218,3 +300,51 @@ class TestGPBank:
             bank.refresh_lengthscales()
         with pytest.raises(ValueError):
             bank.fit(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+class TestThompsonDraws:
+    """One posterior factor per call serves every draw, in per-draw order."""
+
+    def _bank(self, rng, n=20, k=3, d=3):
+        X = rng.uniform(size=(n, d))
+        Y = np.column_stack([np.sin((j + 1) * X[:, 0]) + X[:, 1] for j in range(k)])
+        return GPBank(k, kernel=Matern52Kernel(lengthscale=0.5)).fit(X, Y), X, Y
+
+    def _assert_matches_per_draw_loop(self, bank, probe, num_samples):
+        fast_rng, slow_rng = np.random.default_rng(13), np.random.default_rng(13)
+        draws = bank.thompson_draws(probe, rng=fast_rng, num_samples=num_samples)
+        reference = np.stack(
+            [per_draw_thompson_matrix(bank, probe, slow_rng) for _ in range(num_samples)]
+        )
+        assert draws.shape == (num_samples, probe.shape[0], bank.num_objectives)
+        assert np.array_equal(draws, reference)
+        assert fast_rng.random() == slow_rng.random()
+
+    @pytest.mark.parametrize("num_samples", [1, 4, DEFAULT_EPDC_SAMPLES])
+    def test_homogeneous_draws_equal_successive_single_draws(self, rng, num_samples):
+        bank, X, _ = self._bank(rng)
+        probe = rng.uniform(size=(17, X.shape[1]))
+        self._assert_matches_per_draw_loop(bank, probe, num_samples)
+
+    @pytest.mark.parametrize("num_samples", [1, DEFAULT_EPDC_SAMPLES])
+    def test_heterogeneous_draws_equal_successive_single_draws(self, rng, num_samples):
+        bank, X, _ = self._bank(rng)
+        bank.refresh_lengthscales(candidates=(0.1, 0.5, 1.0))
+        assert not bank.homogeneous
+        probe = rng.uniform(size=(11, X.shape[1]))
+        self._assert_matches_per_draw_loop(bank, probe, num_samples)
+
+    def test_thompson_scores_are_one_draw(self, rng):
+        bank, X, _ = self._bank(rng)
+        probe = rng.uniform(size=(9, X.shape[1]))
+        assert np.array_equal(
+            thompson_scores(bank, probe, rng=np.random.default_rng(2)),
+            per_draw_thompson_matrix(bank, probe, np.random.default_rng(2)),
+        )
+
+    def test_validation(self, rng):
+        with pytest.raises(RuntimeError):
+            GPBank(2).thompson_draws(np.zeros((3, 2)))
+        bank, X, _ = self._bank(rng)
+        with pytest.raises(ValueError):
+            bank.thompson_draws(X, num_samples=0)

@@ -25,7 +25,8 @@ and in CI::
    record-identical contents (modulo per-run wall time, and the checksum
    that covers it) and summaries as an unsupervised one.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  The temporary workspace
+is removed when the drill passes and kept (its path printed) when it fails.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +55,8 @@ from repro.campaign.manifest import CampaignManifest  # noqa: E402
 from repro.campaign.supervisor import SUPERVISOR_FILENAME  # noqa: E402
 from repro.cli import main as cli_main  # noqa: E402
 from repro.resilience import faults  # noqa: E402
+
+from drill_workspace import run_in_workspace  # noqa: E402
 
 SCENARIO = "wifi-3mbps/jetson-tx2-gpu"
 
@@ -363,9 +365,7 @@ def drill_healthy_parity(base: Path) -> int:
     return 0
 
 
-def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="repro-campaign-chaos-"))
-    print(f"workspace: {base}")
+def _run_drills(base: Path) -> int:
     for drill in (
         drill_deadline_and_dead_letter,
         drill_store_integrity,
@@ -379,6 +379,10 @@ def main() -> int:
           "re-admittable, circuit breaker trips to exit 4, store rot "
           "detected/quarantined/repaired, healthy supervision inert")
     return 0
+
+
+def main() -> int:
+    return run_in_workspace("repro-campaign-chaos-", _run_drills)
 
 
 if __name__ == "__main__":

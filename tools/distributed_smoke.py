@@ -24,7 +24,8 @@ CI::
    cell by **resuming from the checkpoint** — its stored outcome records
    ``H_RESUMED``, proving it did not restart from evaluation zero.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  The temporary workspace
+is removed when the drill passes and kept (its path printed) when it fails.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from repro.campaign import (  # noqa: E402
     run_campaign,
 )
 from repro.campaign.manifest import CampaignManifest  # noqa: E402
+
+from drill_workspace import run_in_workspace  # noqa: E402
 
 SPEC = CampaignSpec(
     scenarios=("wifi-3mbps/jetson-tx2-gpu",),
@@ -87,12 +90,7 @@ def _metric_rows(store):
     return rows
 
 
-def main() -> int:
-    import tempfile
-
-    base = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
-    print(f"workspace: {base}")
-
+def _drill(base: Path) -> int:
     print(f"[1/6] serial reference run ({SPEC.num_cells} cells)...")
     serial = RunStore(base / "serial")
     result = run_campaign(SPEC, serial)
@@ -231,6 +229,10 @@ def main() -> int:
         f"discarded it after storing the cell"
     )
     return 0
+
+
+def main() -> int:
+    return run_in_workspace("repro-distributed-smoke-", _drill)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ runnable locally and in CI::
    step's two evaluations), resume it, and assert bitwise parity with
    every recorded evaluation replayed.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  The temporary workspace
+is removed when the drill passes and kept (its path printed) when it fails.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from repro.api.session import run_search  # noqa: E402
 from repro.resilience import FaultInjector, SearchCheckpoint  # noqa: E402
 from repro.resilience import faults  # noqa: E402
 from repro.resilience.checkpoint import HEALTH_LOG_FILENAME  # noqa: E402
+
+from drill_workspace import run_in_workspace  # noqa: E402
 
 #: One small-but-real search: 4 init + 6 BO = 10 evaluations.
 REQUEST = dict(
@@ -103,13 +106,9 @@ def _run_crash_child(
     )
 
 
-def main() -> int:
-    import tempfile
-
-    base = Path(tempfile.mkdtemp(prefix="repro-search-chaos-"))
+def _drill(base: Path) -> int:
     checkpoints = base / "checkpoints"
     failures = []
-    print(f"workspace: {base}")
 
     print("[1/6] golden uninterrupted run...")
     golden = run_search(engine=EvaluationEngine(), **REQUEST)
@@ -242,6 +241,10 @@ def main() -> int:
         "NaN evaluations quarantined, mid-batch kill/resume bitwise parity"
     )
     return 0
+
+
+def main() -> int:
+    return run_in_workspace("repro-search-chaos-", _drill)
 
 
 if __name__ == "__main__":
